@@ -392,15 +392,12 @@ BENCHMARK(BM_Incr_KbCommitThreads)
 
 // ----- overlay serving snapshots (BM_OverlayCommit) -------------------------
 //
-// High-ingest commit streams with the serving overlay on (use_overlay: scans
-// run on frozen CSR + delta side-index, leapfrog engaged, background
-// re-freeze past the cutoff) vs off (scans on the mutable graph — the
-// pre-overlay behavior). Each iteration replays an identical fixed stream
-// against a freshly seeded validator, so the deterministic counters
-// (violations, matches_checked) never depend on how many iterations the
-// harness schedules; the timed region covers delta construction + Commit
-// only, identically in both rows. The CI perf-smoke job pins
-// overlay ≥ 1.3× mutable on the dense-community series.
+// High-ingest commit streams through the serving overlay (scans run on
+// frozen CSR + delta side-index, leapfrog engaged, background re-freeze past
+// the cutoff). Each iteration replays an identical fixed stream against a
+// freshly seeded validator, so the deterministic counters (violations,
+// matches_checked) never depend on how many iterations the harness
+// schedules; the timed region covers delta construction + Commit only.
 
 // A dense-community ingest burst: a few joiners wired densely into block 0
 // plus an intra-community follow burst among existing members.
@@ -424,16 +421,13 @@ GraphDelta MakeDenseBurst(const Graph& g, size_t community,
   return d;
 }
 
-void RunOverlayCommitDense(benchmark::State& state, bool use_overlay,
-                           bool wal = false) {
+void RunOverlayCommitDense(benchmark::State& state, bool wal) {
   DenseParams dp;
   dp.num_members = static_cast<size_t>(state.range(0));
   dp.community_size = 64;
   dp.follows_per_member = 24;
   DenseInstance dense = GenDenseCommunity(dp);
   ValidationOptions opts;
-  opts.policy.commit_backend =
-      use_overlay ? CommitBackend::kOverlay : CommitBackend::kMutable;
   constexpr int kCommitsPerIter = 4;
   size_t violations = 0;
   uint64_t checked = 0;
@@ -489,23 +483,15 @@ void RunOverlayCommitDense(benchmark::State& state, bool use_overlay,
 }
 
 void BM_OverlayCommit_Dense(benchmark::State& state) {
-  RunOverlayCommitDense(state, /*use_overlay=*/true);
-}
-void BM_MutableCommit_Dense(benchmark::State& state) {
-  RunOverlayCommitDense(state, /*use_overlay=*/false);
+  RunOverlayCommitDense(state, /*wal=*/false);
 }
 // Same stream, WAL-ahead commits (fsync=kNone). The CI perf-smoke job pins
 // this within 10% of BM_OverlayCommit_Dense — the price of crash safety on
 // the hot path is one record serialization + buffered write per commit.
 void BM_OverlayCommit_Dense_Wal(benchmark::State& state) {
-  RunOverlayCommitDense(state, /*use_overlay=*/true, /*wal=*/true);
+  RunOverlayCommitDense(state, /*wal=*/true);
 }
 BENCHMARK(BM_OverlayCommit_Dense)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseManualTime();
-BENCHMARK(BM_MutableCommit_Dense)
     ->Arg(256)
     ->Arg(512)
     ->Unit(benchmark::kMicrosecond)
@@ -543,7 +529,7 @@ GraphDelta MakeCardsRelease(const Graph& g, const CardsInstance& cards,
   return d;
 }
 
-void RunOverlayCommitCards(benchmark::State& state, bool use_overlay) {
+void BM_OverlayCommit_Cards(benchmark::State& state) {
   CardsParams cp;
   cp.num_packages = static_cast<size_t>(state.range(0));
   cp.revisions_per_package = 8;
@@ -551,8 +537,6 @@ void RunOverlayCommitCards(benchmark::State& state, bool use_overlay) {
   cp.core_packages = 8;
   CardsInstance cards = GenCardsBase(cp);
   ValidationOptions opts;
-  opts.policy.commit_backend =
-      use_overlay ? CommitBackend::kOverlay : CommitBackend::kMutable;
   constexpr int kCommitsPerIter = 4;
   size_t violations = 0;
   uint64_t checked = 0;
@@ -578,17 +562,7 @@ void RunOverlayCommitCards(benchmark::State& state, bool use_overlay) {
   state.counters["matches_checked"] = static_cast<double>(checked);
 }
 
-void BM_OverlayCommit_Cards(benchmark::State& state) {
-  RunOverlayCommitCards(state, /*use_overlay=*/true);
-}
-void BM_MutableCommit_Cards(benchmark::State& state) {
-  RunOverlayCommitCards(state, /*use_overlay=*/false);
-}
 BENCHMARK(BM_OverlayCommit_Cards)
-    ->Arg(64)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseManualTime();
-BENCHMARK(BM_MutableCommit_Cards)
     ->Arg(64)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();

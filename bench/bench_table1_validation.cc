@@ -258,7 +258,7 @@ void BM_Validation_ScenarioPlanVsLegacy(benchmark::State& state, int mode) {
 // The large-snapshot regime the frozen read path targets: a dense random
 // property graph (avg out-degree 8 — far past the freeze cutoff) validated
 // against a 3-hop path rule whose enumeration dominates. Mode 0 scans the
-// mutable graph (freeze_snapshot=off); mode 1 freezes per Validate call
+// mutable graph (snapshot=kNever); mode 1 freezes per Validate call
 // (the default on-configuration — freeze cost included in the timing);
 // mode 2 validates a pre-frozen snapshot (the serving regime: freeze once,
 // validate many times). The largest graph size under mode 1 vs mode 0 is
@@ -301,7 +301,7 @@ void BM_Validation_FreezeSnapshot(benchmark::State& state, int mode) {
 }
 
 // The snapshot compilation itself: O(|V| + |E| log d) — the price one
-// freeze_snapshot=on Validate call pays before scanning.
+// snapshot=kAuto Validate call pays above the cutoff before scanning.
 void BM_FreezeCost(benchmark::State& state) {
   RandomGraphParams gp;
   gp.num_nodes = static_cast<size_t>(state.range(0));

@@ -27,7 +27,7 @@
 // tests/frozen_equivalence_test.cc). A FrozenGraph is deeply immutable and
 // therefore safe to share across threads without synchronization — it is
 // the unit of parallel fan-out in reason/validation.cc
-// (ValidationOptions::freeze_snapshot) and the intended unit of sharding,
+// (ExecutionPolicy::snapshot) and the intended unit of sharding,
 // caching and concurrent serving.
 
 #ifndef GEDLIB_GRAPH_FROZEN_H_

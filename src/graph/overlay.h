@@ -21,8 +21,9 @@
 //
 // OverlayView therefore satisfies GraphView, HasLabelRanges and
 // HasNeighborSpans literally (no new concepts, no merged-cursor iterators),
-// so the matcher, RulesetPlan execution, ValidateTouching and
-// FindViolationsSeededByEdges run on it unchanged as a third backend.
+// so the matcher and RulesetPlan execution run on it unchanged as a third
+// backend — and it is the one backend ValidateTouching and
+// FindViolationsSeededByEdges take.
 //
 // The side index grows with the applied deltas; once DeltaWeight() passes a
 // cutoff the owner re-freezes (FrozenGraph::Freeze(overlay) — O(|V|+|E|),

@@ -12,26 +12,23 @@
 // ruleset plan (plan/plan.h) at construction, so every commit's re-scan
 // walks one match space per pattern *shape* rather than one per rule.
 //
-// Backend note: the validator owns the mutable Graph as the authoritative
-// store, and by default (ExecutionPolicy::commit_backend == kOverlay)
-// mirrors every committed delta into an OverlayView (graph/overlay.h) — a
-// frozen CSR base plus a small copy-on-write side index — and runs all
-// commit re-scans on the overlay. Commits therefore get the CSR label
-// ranges and the leapfrog intersection (JoinStrategy) exactly like full
-// validation, without the per-commit re-freeze that used to be the only
-// alternative. Once the side
-// index outweighs ValidationOptions::overlay_refreeze_cutoff, a background
-// thread compacts the overlay into a fresh FrozenGraph base
+// Backend note: the validator owns the mutable Graph as the authoritative store
+// and mirrors every committed delta into an OverlayView (graph/overlay.h) — a
+// frozen CSR base plus a small copy-on-write side index — and runs all commit
+// re-scans on the overlay through the compiled plan. Commits therefore get the
+// CSR label ranges and the leapfrog intersection (JoinStrategy) exactly like
+// full validation, without a per-commit re-freeze. The seed pass scans the same
+// frozen base, so construction freezes the graph once. Once the side index
+// outweighs ValidationOptions::overlay_refreeze_cutoff, a background thread
+// compacts the overlay into a fresh FrozenGraph base
 // (FrozenGraph::Freeze(overlay) — no sort, overlay spans are already CSR-
 // ordered) while commits keep landing on the current overlay; at the next
 // commit boundary after the freeze completes, the validator swaps to a new
 // overlay epoch over the new base and replays the deltas committed in the
-// meantime. Readers of overlay() pin the epoch's base via shared_ptr, so a
-// swap never invalidates a snapshot someone still holds. commit_backend =
-// kMutable restores the pre-overlay behavior (scan the mutable graph);
-// requiring the leapfrog join on that backend is unsatisfiable and is
-// rejected by Create() / ValidateExecutionPolicy with InvalidArgument
-// instead of the old runtime "intersection_inert" warning.
+// meantime. Readers of overlay() pin the epoch's base via shared_ptr, so a swap
+// never invalidates a snapshot someone still holds. Policies that ask for
+// another scan path (plan=kPerRule, snapshot=kNever) would be inert, so
+// Create() / ValidateExecutionPolicy reject them with InvalidArgument.
 //
 // Exactness argument (append-only deltas):
 //  * topology only grows, so every match of Q in the old graph is still a
@@ -42,7 +39,7 @@
 //    node changed, and those nodes are touched.
 // Retracting violations that bind a touched node and re-scanning exactly
 // the touched region therefore reproduces Validate() from scratch, which
-// the property tests assert after every commit — against both backends.
+// the property tests assert after every commit.
 
 #ifndef GEDLIB_INCR_INCREMENTAL_H_
 #define GEDLIB_INCR_INCREMENTAL_H_
@@ -66,21 +63,22 @@ namespace ged {
 /// Maintains G ⊨ Σ under append-only deltas.
 class IncrementalValidator {
  public:
-  /// Takes ownership of `g` and Σ and runs one full Validate() to seed the
-  /// report. `options.max_violations_per_ged` is forced to 0 (a truncated
+  /// Takes ownership of `g` and Σ, freezes `g` once into the overlay's
+  /// CSR base and runs one full ValidateWithPlan() over that base to seed
+  /// the report. `options.max_violations_per_ged` is forced to 0 (a truncated
   /// report cannot be maintained exactly); the other knobs (threads,
   /// semantics, the execution policy) apply to the initial pass and every
   /// commit. If the effective policy is invalid for the incremental
   /// surface, the constructor degrades it to the nearest valid policy
-  /// (join/kernel back to kAuto) and logs an `invalid_execution_policy`
+  /// (plan=kCompiled, snapshot=kAuto, and join/kernel back to kAuto if a
+  /// kernel rule failed) and logs an `invalid_execution_policy`
   /// structured-log error — use Create() to get the hard rejection.
   IncrementalValidator(Graph g, std::vector<Ged> sigma,
                        ValidationOptions options = {});
 
-  /// Validating factory: rejects an effective policy that cannot do what it
-  /// claims on the incremental surface (e.g. join=kLeapfrog with
-  /// commit_backend=kMutable — commit re-scans would have no sorted spans
-  /// to intersect) with Status::InvalidArgument before any work starts.
+  /// Validating factory: rejects a policy that cannot do what it claims on
+  /// the incremental surface (e.g. plan=kPerRule — commits always run the
+  /// compiled plan) with Status::InvalidArgument before any work starts.
   static Result<std::unique_ptr<IncrementalValidator>> Create(
       Graph g, std::vector<Ged> sigma, ValidationOptions options = {});
 
@@ -116,17 +114,15 @@ class IncrementalValidator {
   /// The maintained graph (mutate it only through Commit).
   const Graph& graph() const { return graph_; }
   /// The serving overlay commits are scanned through (equals graph() in
-  /// content; empty and unused when policy().commit_backend == kMutable).
+  /// content).
   const OverlayView& overlay() const { return overlay_; }
   /// The GED set Σ.
   const std::vector<Ged>& sigma() const { return sigma_; }
-  /// The compiled shared plan of Σ (empty when policy().plan == kPerRule —
-  /// the validator then runs the legacy per-GED path).
+  /// The compiled shared plan of Σ.
   const RulesetPlan& plan() const { return plan_; }
-  /// The normalized effective execution policy the validator runs under:
-  /// deprecated aliases folded in, and invalid combinations degraded (see
-  /// the constructor note). Always passes ValidateExecutionPolicy for the
-  /// incremental surface.
+  /// The execution policy the validator runs under, with invalid
+  /// combinations degraded (see the constructor note). Always passes
+  /// ValidateExecutionPolicy for the incremental surface.
   const ExecutionPolicy& policy() const { return options_.policy; }
   /// The live report: always equal to Validate(graph(), sigma()) with the
   /// same options. `matches_checked` is cumulative across the initial pass
@@ -170,7 +166,7 @@ class IncrementalValidator {
     uint64_t total_retracted = 0;
     uint64_t total_added = 0;
     uint64_t total_matches_checked = 0;
-    // Re-freeze lifecycle totals (use_overlay only).
+    // Re-freeze lifecycle totals.
     uint64_t refreezes_started = 0;
     uint64_t refreezes_adopted = 0;
     // Background re-freezes that failed (injected faults / checkpoint IO).
@@ -232,7 +228,7 @@ class IncrementalValidator {
   ValidationReport report_;
   CommitStats stats_;
 
-  // Serving overlay (use_overlay): mirrors graph_ exactly between commits.
+  // Serving overlay: mirrors graph_ exactly between commits.
   OverlayView overlay_;
   // Monotonic successful-commit counter; NewDelta() stamps it into deltas.
   uint64_t commit_epoch_ = 0;

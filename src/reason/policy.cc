@@ -38,16 +38,6 @@ const char* SnapshotModeName(SnapshotMode v) {
   return "unknown";
 }
 
-const char* CommitBackendName(CommitBackend v) {
-  switch (v) {
-    case CommitBackend::kOverlay:
-      return "overlay";
-    case CommitBackend::kMutable:
-      return "mutable";
-  }
-  return "unknown";
-}
-
 const char* FsyncPolicyName(DurabilityOptions::Fsync v) {
   switch (v) {
     case DurabilityOptions::Fsync::kEveryCommit:
@@ -70,13 +60,19 @@ Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
         "forces the mutable-graph scan, whose unsorted adjacency has no "
         "spans to intersect; use snapshot=auto or join=auto");
   }
-  if (policy.join == JoinStrategy::kLeapfrog &&
-      surface == ExecutionSurface::kIncremental &&
-      policy.commit_backend == CommitBackend::kMutable) {
+  if (surface == ExecutionSurface::kIncremental &&
+      policy.plan == PlanMode::kPerRule) {
     return Status::InvalidArgument(
-        "join=leapfrog with commit_backend=mutable: incremental commit "
-        "re-scans read the mutable graph, which has no sorted neighbor "
-        "spans to intersect; use commit_backend=overlay or join=auto");
+        "plan=per_rule is inert on the incremental surface: the seed pass "
+        "and every commit re-scan run the compiled ruleset plan; use "
+        "plan=compiled, or full Validate for a per-rule scan");
+  }
+  if (surface == ExecutionSurface::kIncremental &&
+      policy.snapshot == SnapshotMode::kNever) {
+    return Status::InvalidArgument(
+        "snapshot=never is inert on the incremental surface: the validator "
+        "always serves from a frozen CSR base; use snapshot=auto, or full "
+        "Validate for a mutable-graph scan");
   }
   if (policy.kernel != KernelBackend::kAuto &&
       policy.join == JoinStrategy::kPickSmallest) {

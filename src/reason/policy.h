@@ -1,22 +1,14 @@
 // ExecutionPolicy: the coherent engine-execution options API.
 //
-// The engine's execution knobs grew up as independent booleans on
-// ValidationOptions (use_intersection / use_compiled_plan / freeze_snapshot
-// / use_overlay), which made the *interactions* between them inexpressible:
-// the k-way intersection needs a backend with sorted columnar spans, so
-// "intersection on, overlay off" on the incremental path was silently inert
-// (diagnosed only by a runtime structured-log warning), and there was no
-// way at all to say "I require the leapfrog join" or "run it on this SIMD
-// backend". ExecutionPolicy replaces the sprawl with one validated struct:
-// each field is an enum whose kAuto/default means "the engine decides", and
+// Every execution knob is a field of one validated struct: each field is an
+// enum whose kAuto/default means "the engine decides", and
 // ValidateExecutionPolicy rejects combinations that cannot do what they
 // claim with Status::InvalidArgument *before* any work starts — at
-// options-validation time, not as a mid-run warning.
-//
-// The old booleans remain on ValidationOptions as deprecated thin aliases
-// for one release (see the README migration table); they fold into the
-// policy through EffectiveExecutionPolicy(), with an explicitly set policy
-// field always winning over an alias.
+// options-validation time, not as a mid-run warning. That covers the
+// interactions between knobs (the k-way intersection needs a backend with
+// sorted columnar spans; a forced SIMD backend needs the intersection path)
+// and knobs that are inert on one surface (the incremental validator always
+// commits through the compiled plan and a frozen CSR base).
 
 #ifndef GEDLIB_REASON_POLICY_H_
 #define GEDLIB_REASON_POLICY_H_
@@ -51,12 +43,6 @@ enum class SnapshotMode : uint8_t {
   kNever,     ///< always scan the mutable adjacency (freeze-cost studies)
 };
 
-/// Which backend incremental commits re-scan.
-enum class CommitBackend : uint8_t {
-  kOverlay = 0,  ///< frozen CSR base + delta overlay (serving default)
-  kMutable,      ///< scan the mutable graph directly (pre-overlay baseline)
-};
-
 /// Where a policy is about to be used; some combinations are only
 /// meaningful (or only wrong) on one surface.
 enum class ExecutionSurface : uint8_t {
@@ -66,7 +52,7 @@ enum class ExecutionSurface : uint8_t {
 
 /// The validated execution policy. Default-constructed = engine decides
 /// everything (today: compiled plan, leapfrog where possible, snapshot
-/// above cutoff, overlay commits, auto-detected kernel backend).
+/// above cutoff, auto-detected kernel backend).
 struct ExecutionPolicy {
   JoinStrategy join = JoinStrategy::kAuto;
   /// SIMD intersection backend for the leapfrog join
@@ -76,7 +62,6 @@ struct ExecutionPolicy {
   KernelBackend kernel = KernelBackend::kAuto;
   PlanMode plan = PlanMode::kCompiled;
   SnapshotMode snapshot = SnapshotMode::kAuto;
-  CommitBackend commit_backend = CommitBackend::kOverlay;
 
   bool operator==(const ExecutionPolicy&) const = default;
 };
@@ -127,9 +112,9 @@ const char* FsyncPolicyName(DurabilityOptions::Fsync v);
 /// Rejects inert or unsatisfiable combinations with InvalidArgument:
 ///   * join=kLeapfrog with snapshot=kNever on the validation surface — the
 ///     mutable-graph scan has no sorted spans to intersect;
-///   * join=kLeapfrog with commit_backend=kMutable on the incremental
-///     surface — commit re-scans would silently fall back (this replaces
-///     the old runtime "intersection_inert" warning);
+///   * plan=kPerRule or snapshot=kNever on the incremental surface —
+///     the seed pass and every commit re-scan always run the compiled plan
+///     over a frozen CSR base, so neither setting could take effect;
 ///   * kernel != kAuto with join=kPickSmallest — a forced backend that can
 ///     never run;
 ///   * kernel != kAuto naming a backend unavailable in this binary or on
@@ -142,7 +127,6 @@ Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
 const char* JoinStrategyName(JoinStrategy v);
 const char* PlanModeName(PlanMode v);
 const char* SnapshotModeName(SnapshotMode v);
-const char* CommitBackendName(CommitBackend v);
 
 }  // namespace ged
 

@@ -1,7 +1,7 @@
 // ExecutionPolicy (reason/policy.h): the coherent engine-options API.
 // Covers the options-validation rules that replaced runtime inert-knob
-// warnings, the deprecated-boolean alias folding, and the kernel-backend
-// name round-trip the env override depends on.
+// warnings and the kernel-backend name round-trip the env override depends
+// on.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "match/kernels/kernel.h"
 #include "match/kernels/registry.h"
 #include "reason/policy.h"
-#include "reason/validation.h"
 
 namespace ged {
 namespace {
@@ -32,31 +31,45 @@ TEST(ExecutionPolicy, RejectsLeapfrogWithoutSnapshot) {
   Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // The same pair is fine on the incremental surface, where `snapshot`
-  // governs only the seeding pass and commits read the overlay.
-  policy.commit_backend = CommitBackend::kOverlay;
+  // Without the leapfrog requirement, a mutable-graph scan is a valid full
+  // validation.
+  policy.join = JoinStrategy::kAuto;
   EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental).ok());
+      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
 }
 
-TEST(ExecutionPolicy, RejectsLeapfrogOnMutableCommitBackend) {
-  // Rule 2 — the acceptance-gate case: requiring the leapfrog join while
-  // committing against the mutable graph is unsatisfiable and must fail
-  // fast instead of warning at runtime.
+TEST(ExecutionPolicy, RejectsPerRulePlanOnIncrementalSurface) {
+  // Rule 2: the incremental validator seeds and commits through the
+  // compiled plan only, so plan=per_rule there could never take effect.
   ExecutionPolicy policy;
-  policy.join = JoinStrategy::kLeapfrog;
-  policy.commit_backend = CommitBackend::kMutable;
+  policy.plan = PlanMode::kPerRule;
   Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("mutable"), std::string::npos) << s.message();
-  // Validation surface never commits; the pair is fine there.
+  EXPECT_NE(s.message().find("plan=per_rule"), std::string::npos)
+      << s.message();
+  // Full validation keeps the per-rule scan (the differential oracle).
+  EXPECT_TRUE(
+      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+}
+
+TEST(ExecutionPolicy, RejectsSnapshotNeverOnIncrementalSurface) {
+  // Rule 3: the incremental validator always serves from a frozen CSR base,
+  // so snapshot=never there could never take effect.
+  ExecutionPolicy policy;
+  policy.snapshot = SnapshotMode::kNever;
+  Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("snapshot=never"), std::string::npos)
+      << s.message();
+  // Full validation keeps the mutable-graph scan (freeze-cost studies).
   EXPECT_TRUE(
       ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
 }
 
 TEST(ExecutionPolicy, RejectsForcedKernelWithLegacyJoin) {
-  // Rule 3: a forced SIMD backend can never run under the pick-smallest
+  // Rule 4: a forced SIMD backend can never run under the pick-smallest
   // generator — inert knobs are errors now.
   ExecutionPolicy policy;
   policy.join = JoinStrategy::kPickSmallest;
@@ -70,7 +83,7 @@ TEST(ExecutionPolicy, RejectsForcedKernelWithLegacyJoin) {
 }
 
 TEST(ExecutionPolicy, RejectsUnavailableKernelBackend) {
-  // Rule 4: an explicit backend this binary/host cannot serve is rejected
+  // Rule 5: an explicit backend this binary/host cannot serve is rejected
   // up front (ResolveKernel would silently fall back — the policy layer is
   // where "I require X" gets its hard answer).
   bool found_missing = false;
@@ -104,51 +117,6 @@ TEST(ExecutionPolicy, ScalarKernelAlwaysValidatesUnderAutoJoin) {
       ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
 }
 
-// ----- deprecated-boolean alias folding -------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(EffectiveExecutionPolicy, DefaultsStayAuto) {
-  ValidationOptions options;
-  EXPECT_EQ(EffectiveExecutionPolicy(options), ExecutionPolicy{});
-}
-
-TEST(EffectiveExecutionPolicy, EachAliasMapsOntoItsPolicyField) {
-  {
-    ValidationOptions options;
-    options.use_intersection = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).join,
-              JoinStrategy::kPickSmallest);
-  }
-  {
-    ValidationOptions options;
-    options.use_compiled_plan = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).plan, PlanMode::kPerRule);
-  }
-  {
-    ValidationOptions options;
-    options.freeze_snapshot = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).snapshot,
-              SnapshotMode::kNever);
-  }
-  {
-    ValidationOptions options;
-    options.use_overlay = false;
-    EXPECT_EQ(EffectiveExecutionPolicy(options).commit_backend,
-              CommitBackend::kMutable);
-  }
-}
-
-TEST(EffectiveExecutionPolicy, ExplicitPolicyBeatsDeprecatedAlias) {
-  ValidationOptions options;
-  options.use_intersection = false;        // alias says pick-smallest...
-  options.policy.join = JoinStrategy::kLeapfrog;  // ...explicit policy wins
-  EXPECT_EQ(EffectiveExecutionPolicy(options).join, JoinStrategy::kLeapfrog);
-}
-
-#pragma GCC diagnostic pop
-
 // ----- backend name round-trip ----------------------------------------------
 
 TEST(KernelBackendNames, ParseRoundTripsEveryName) {
@@ -170,7 +138,6 @@ TEST(PolicyNames, StableLowercaseNames) {
                "pick_smallest");
   EXPECT_STREQ(PlanModeName(PlanMode::kCompiled), "compiled");
   EXPECT_STREQ(SnapshotModeName(SnapshotMode::kNever), "never");
-  EXPECT_STREQ(CommitBackendName(CommitBackend::kOverlay), "overlay");
   EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
 }
 

@@ -552,80 +552,53 @@ TEST(IncrementalValidator, AddedEqualsReportGrowthPlusRetracted) {
 // ----- the leapfrog join engages on the overlay (ablation) ------------------
 
 TEST(IncrementalValidator, IntersectionEngagesOnOverlayCommits) {
-  // Post-overlay, commit re-scans run on CSR spans, so the leapfrog kernel
-  // must actually fire on a dense commit: lf_rounds strictly grows. With
-  // commit_backend=mutable the graph has no sorted spans and the counter
-  // must stay flat (join=auto degrades; an explicit leapfrog requirement
-  // is rejected — see below).
+  // Commit re-scans run on the overlay's CSR spans, so the leapfrog kernel
+  // must actually fire on a dense commit: lf_rounds strictly grows.
   DenseParams dp;
   dp.num_members = 128;
   dp.community_size = 32;
   dp.follows_per_member = 12;
-  for (bool overlay : {true, false}) {
-    ObsSession session;
-    ValidationOptions opts;
-    opts.obs = session.Options();
-    opts.policy.commit_backend =
-        overlay ? CommitBackend::kOverlay : CommitBackend::kMutable;
-    opts.policy.snapshot = SnapshotMode::kNever;  // initial pass off the CSR
-    DenseInstance dense = GenDenseCommunity(dp);
-    IncrementalValidator v(dense.graph, DenseCliqueGeds(), opts);
-    uint64_t rounds_before =
-        session.Metrics()
-            .Snapshot()
-            .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
-            .value;
-    GraphDelta d = v.NewDelta();
-    std::mt19937 rng(5);
-    for (int i = 0; i < 24; ++i) {  // a dense intra-community burst
-      d.AddEdge(static_cast<NodeId>(rng() % 32), "follows",
-                static_cast<NodeId>(rng() % 32));
-    }
-    ASSERT_TRUE(v.Commit(d).ok());
-    uint64_t rounds_after =
-        session.Metrics()
-            .Snapshot()
-            .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
-            .value;
-    if (overlay) {
-      EXPECT_GT(rounds_after, rounds_before)
-          << "leapfrog never engaged on an overlay commit";
-    } else {
-      EXPECT_EQ(rounds_after, rounds_before)
-          << "mutable-graph commits cannot intersect";
-    }
-    ExpectReportsEqual(v.report(), v.RevalidateFull());
+  ObsSession session;
+  ValidationOptions opts;
+  opts.obs = session.Options();
+  DenseInstance dense = GenDenseCommunity(dp);
+  IncrementalValidator v(dense.graph, DenseCliqueGeds(), opts);
+  auto lf_rounds = [&session] {
+    return session.Metrics()
+        .Snapshot()
+        .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
+        .value;
+  };
+  uint64_t rounds_before = lf_rounds();
+  GraphDelta d = v.NewDelta();
+  std::mt19937 rng(5);
+  for (int i = 0; i < 24; ++i) {  // a dense intra-community burst
+    d.AddEdge(static_cast<NodeId>(rng() % 32), "follows",
+              static_cast<NodeId>(rng() % 32));
   }
+  ASSERT_TRUE(v.Commit(d).ok());
+  EXPECT_GT(lf_rounds(), rounds_before)
+      << "leapfrog never engaged on an overlay commit";
+  ExpectReportsEqual(v.report(), v.RevalidateFull());
 }
 
-TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
-  // join=leapfrog with commit_backend=mutable cannot engage: commit
-  // re-scans read the mutable graph, which has no sorted neighbor spans.
-  // What used to be a runtime "intersection_inert" warning is now a hard
-  // options-validation error, raised by Create() before any work starts.
+TEST(IncrementalValidator, InertPerRulePolicyIsRejected) {
+  // The validator seeds and commits through the compiled plan only, so
+  // plan=per_rule could never take effect: Create() rejects it before any
+  // work starts.
   KbInstance kb = GenKnowledgeBase(KbParams{});
   ValidationOptions opts;
-  opts.policy.join = JoinStrategy::kLeapfrog;
-  opts.policy.commit_backend = CommitBackend::kMutable;
+  opts.policy.plan = PlanMode::kPerRule;
   auto rejected = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("commit_backend=mutable"),
+  EXPECT_NE(rejected.status().message().find("plan=per_rule"),
             std::string::npos)
       << rejected.status().message();
 
-  // join=auto on the same backend means "the engine decides": accepted
-  // silently, degrading to the legacy generator where spans are missing.
-  opts.policy.join = JoinStrategy::kAuto;
-  auto accepted = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
-  ASSERT_TRUE(accepted.ok());
-  EXPECT_EQ(accepted.value()->policy().commit_backend,
-            CommitBackend::kMutable);
-  EXPECT_EQ(accepted.value()->policy().join, JoinStrategy::kAuto);
-
   // The plain constructor cannot report failure, so it degrades the
   // invalid policy to the nearest valid one and says so through the
-  // structured log.
+  // structured log. Valid fields the failure did not involve are kept.
   ObsSession session;
   std::vector<std::string> lines;
   LoggerOptions lopts;
@@ -635,7 +608,8 @@ TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
   opts.obs = session.Options();
   opts.policy.join = JoinStrategy::kLeapfrog;
   IncrementalValidator degraded(kb.graph, Example1Geds(), opts);
-  EXPECT_EQ(degraded.policy().join, JoinStrategy::kAuto);
+  EXPECT_EQ(degraded.policy().plan, PlanMode::kCompiled);
+  EXPECT_EQ(degraded.policy().join, JoinStrategy::kLeapfrog);
   bool logged = false;
   for (const std::string& line : lines) {
     if (line.find("invalid_execution_policy") != std::string::npos) {
@@ -643,6 +617,34 @@ TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
     }
   }
   EXPECT_TRUE(logged);
+  ExpectReportsEqual(degraded.report(), degraded.RevalidateFull());
+}
+
+TEST(IncrementalValidator, CreateFreezesTheGraphOnce) {
+  // The seed pass scans the frozen base the overlay serves from, so a graph
+  // above the full-validation freeze cutoff is frozen once, not twice.
+  RandomGraphParams gp;
+  gp.num_nodes = 2048;
+  gp.avg_out_degree = 2.0;
+  gp.seed = 81;
+  Graph g = RandomPropertyGraph(gp);
+  ASSERT_GE(g.NumNodes() + g.NumEdges(), 4096u);
+  RandomGedParams rp;
+  rp.kind = GedClassKind::kGed;
+  rp.pattern_vars = 2;
+  rp.pattern_edges = 1;
+  rp.seed = 82;
+  ObsSession session;
+  ValidationOptions opts;
+  opts.obs = session.Options();
+  auto v = IncrementalValidator::Create(std::move(g), RandomGeds(3, rp), opts);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(session.Metrics()
+                .Snapshot()
+                .metrics[static_cast<size_t>(EngineMetric::kFreezeRuns)]
+                .value,
+            1u);
+  ExpectReportsEqual(v.value()->report(), v.value()->RevalidateFull());
 }
 
 TEST(IncrementalValidator, DestructorJoinsInFlightRefreeze) {

@@ -2,6 +2,9 @@
 // the compiled path and the legacy per-GED path must emit bit-identical
 // sorted violation reports — same violations, same matches_checked — on
 // every generator scenario, random GED set, delta stream and semantics.
+// The incremental building blocks (touching and edge-seeded scans over an
+// overlay) have no per-rule twin; they are checked against the per-rule full
+// Validate, filtered to the region they claim to cover.
 // Plus unit coverage for pattern canonicalization and bucketing.
 
 #include <gtest/gtest.h>
@@ -12,6 +15,8 @@
 #include "ged/canonical.h"
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
+#include "graph/frozen.h"
+#include "graph/overlay.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "plan/plan.h"
@@ -221,66 +226,6 @@ TEST(PlanDifferential, CappedReportsAgree) {
   }
 }
 
-TEST(PlanDifferential, ValidateTouchingAgrees) {
-  RandomGraphParams gp;
-  gp.num_nodes = 70;
-  gp.seed = 41;
-  Graph g = RandomPropertyGraph(gp);
-  RandomGedParams rp;
-  rp.pattern_vars = 3;
-  rp.pattern_edges = 2;
-  rp.seed = 42;
-  std::vector<Ged> sigma = RandomGeds(6, rp);
-  std::mt19937 rng(43);
-  for (int round = 0; round < 6; ++round) {
-    std::vector<NodeId> touched;
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      if (rng() % 4 == 0) touched.push_back(v);
-    }
-    for (unsigned threads : {1u, 4u}) {
-      ValidationOptions opts;
-      opts.num_threads = threads;
-      opts.policy.plan = PlanMode::kPerRule;
-      ValidationReport legacy = ValidateTouching(g, sigma, touched, opts);
-      opts.policy.plan = PlanMode::kCompiled;
-      ValidationReport compiled = ValidateTouching(g, sigma, touched, opts);
-      EXPECT_EQ(compiled.violations, legacy.violations);
-      EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
-    }
-  }
-}
-
-TEST(PlanDifferential, SeededByEdgesAgrees) {
-  RandomGraphParams gp;
-  gp.num_nodes = 50;
-  gp.seed = 51;
-  Graph g = RandomPropertyGraph(gp);
-  RandomGedParams rp;
-  rp.pattern_vars = 3;
-  rp.pattern_edges = 3;
-  rp.seed = 52;
-  std::vector<Ged> sigma = RandomGeds(6, rp);
-  // Seeds: a sample of existing edges (what a cross-edge delta reports).
-  std::vector<EdgeTriple> seeds;
-  for (NodeId v = 0; v < g.NumNodes(); v += 5) {
-    for (const Edge& e : g.out(v)) {
-      seeds.push_back({v, e.label, e.other});
-      break;
-    }
-  }
-  ASSERT_FALSE(seeds.empty());
-  ValidationOptions opts;
-  uint64_t checked_legacy = 0, checked_compiled = 0;
-  opts.policy.plan = PlanMode::kPerRule;
-  std::vector<Violation> legacy =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_legacy);
-  opts.policy.plan = PlanMode::kCompiled;
-  std::vector<Violation> compiled =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_compiled);
-  EXPECT_EQ(compiled, legacy);
-  EXPECT_EQ(checked_compiled, checked_legacy);
-}
-
 // ----- differential: random delta streams (incr_test stream machinery) -----
 
 // Appends a random append-only batch shaped like the generator's universe.
@@ -321,6 +266,140 @@ GraphDelta RandomDelta(const Graph& g, std::mt19937* rng, size_t num_ops,
     }
   }
   return d;
+}
+
+// ----- touching / edge-seeded scans vs the per-rule full oracle -----------
+
+// A graph mirrored into an overlay whose side index is non-trivial: the base
+// is frozen first, then one random delta lands on both copies.
+struct MirroredGraph {
+  Graph graph;
+  OverlayView overlay;
+};
+
+MirroredGraph MirrorWithDelta(Graph g, const RandomGraphParams& gp,
+                              unsigned seed) {
+  OverlayView overlay(
+      std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g)));
+  std::mt19937 rng(seed);
+  GraphDelta d = RandomDelta(g, &rng, 30, gp);
+  EXPECT_TRUE(d.Apply(&overlay).ok());
+  EXPECT_TRUE(d.Apply(&g).ok());
+  return {std::move(g), std::move(overlay)};
+}
+
+// Test-only reference for the touching scan: the per-rule full Validate,
+// filtered to the violations whose match binds a touched node.
+std::vector<Violation> TouchingReference(const Graph& g,
+                                         const std::vector<Ged>& sigma,
+                                         const std::vector<NodeId>& touched,
+                                         ValidationOptions opts) {
+  opts.policy.plan = PlanMode::kPerRule;
+  std::vector<Violation> out;
+  for (Violation& v : Validate(g, sigma, opts).violations) {
+    if (std::any_of(v.match.begin(), v.match.end(), [&](NodeId n) {
+          return std::binary_search(touched.begin(), touched.end(), n);
+        })) {
+      out.push_back(std::move(v));
+    }
+  }
+  return out;
+}
+
+TEST(PlanDifferential, ValidateTouchingAgrees) {
+  RandomGraphParams gp;
+  gp.num_nodes = 70;
+  gp.seed = 41;
+  MirroredGraph m = MirrorWithDelta(RandomPropertyGraph(gp), gp, 44);
+  RandomGedParams rp;
+  rp.pattern_vars = 3;
+  rp.pattern_edges = 2;
+  rp.seed = 42;
+  std::vector<Ged> sigma = RandomGeds(6, rp);
+  RulesetPlan plan = RulesetPlan::Compile(sigma);
+  std::mt19937 rng(43);
+  size_t found = 0;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<NodeId> touched;
+    for (NodeId v = 0; v < m.graph.NumNodes(); ++v) {
+      if (rng() % 4 == 0) touched.push_back(v);
+    }
+    for (unsigned threads : {1u, 4u}) {
+      ValidationOptions opts;
+      opts.num_threads = threads;
+      ValidationReport touching =
+          ValidateTouching(m.overlay, plan, touched, opts);
+      EXPECT_EQ(touching.violations,
+                TouchingReference(m.graph, sigma, touched, opts))
+          << "round " << round << ", threads=" << threads;
+      found += touching.violations.size();
+    }
+  }
+  EXPECT_GT(found, 0u) << "no touching violation to compare";
+}
+
+TEST(PlanDifferential, SeededByEdgesAgrees) {
+  // Small label and value universes, so the random rules have violating
+  // matches through the seeded edges.
+  RandomGraphParams gp;
+  gp.num_nodes = 60;
+  gp.avg_out_degree = 4.0;
+  gp.num_node_labels = 3;
+  gp.num_edge_labels = 2;
+  gp.num_values = 3;
+  gp.seed = 51;
+  MirroredGraph m = MirrorWithDelta(RandomPropertyGraph(gp), gp, 53);
+  RandomGedParams rp;
+  rp.pattern_vars = 3;
+  rp.pattern_edges = 2;
+  rp.num_node_labels = gp.num_node_labels;
+  rp.num_edge_labels = gp.num_edge_labels;
+  rp.num_values = gp.num_values;
+  rp.seed = 52;
+  std::vector<Ged> sigma = RandomGeds(12, rp);
+  // Seeds: a sample of existing edges (what a cross-edge delta reports).
+  std::vector<EdgeTriple> seeds;
+  for (NodeId v = 0; v < m.graph.NumNodes(); v += 2) {
+    for (const Edge& e : m.graph.out(v)) {
+      seeds.push_back({v, e.label, e.other});
+      break;
+    }
+  }
+  ASSERT_FALSE(seeds.empty());
+  ValidationOptions opts;
+  uint64_t checked = 0;
+  std::vector<Violation> seeded = FindViolationsSeededByEdges(
+      m.overlay, RulesetPlan::Compile(sigma), seeds, opts, &checked);
+  opts.policy.plan = PlanMode::kPerRule;
+  std::vector<Violation> full = Validate(m.graph, sigma, opts).violations;
+
+  // Sound: every seeded result is a violation of the whole graph.
+  for (const Violation& v : seeded) {
+    EXPECT_TRUE(std::binary_search(full.begin(), full.end(), v, ViolationLess))
+        << "ged " << v.ged_index << " is not in the full report";
+  }
+  // Complete: every violation mapping a pattern edge onto a seed is found.
+  auto maps_onto_seed = [&](const Violation& v) {
+    for (const Pattern::PEdge& pe : sigma[v.ged_index].pattern().edges()) {
+      for (const EdgeTriple& seed : seeds) {
+        if (v.match[pe.src] == seed.src && v.match[pe.dst] == seed.dst &&
+            LabelMatches(pe.label, seed.label)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  size_t expected = 0;
+  for (const Violation& v : full) {
+    if (!maps_onto_seed(v)) continue;
+    ++expected;
+    EXPECT_TRUE(
+        std::binary_search(seeded.begin(), seeded.end(), v, ViolationLess))
+        << "ged " << v.ged_index << " maps onto a seed but was not returned";
+  }
+  EXPECT_GT(expected, 0u) << "no violation exercises the seeds";
+  EXPECT_GE(checked, seeded.size());
 }
 
 // The compiled incremental validator must track the *legacy* from-scratch

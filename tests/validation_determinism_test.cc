@@ -6,6 +6,9 @@
 
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
+#include "graph/frozen.h"
+#include "graph/overlay.h"
+#include "plan/plan.h"
 #include "reason/validation.h"
 
 namespace ged {
@@ -108,12 +111,17 @@ TEST(ValidationDeterminism, ValidateTouchingAcrossThreads) {
   std::vector<NodeId> touched;
   for (NodeId v = 0; v < g.NumNodes(); v += 7) touched.push_back(v);
 
+  OverlayView overlay(
+      std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g)));
+  RulesetPlan plan = RulesetPlan::Compile(sigma);
+
   ValidationOptions opts;
   opts.num_threads = 1;
-  ValidationReport serial = ValidateTouching(g, sigma, touched, opts);
+  ValidationReport serial = ValidateTouching(overlay, plan, touched, opts);
   for (unsigned threads : {2u, 8u}) {
     opts.num_threads = threads;
-    ValidationReport parallel = ValidateTouching(g, sigma, touched, opts);
+    ValidationReport parallel =
+        ValidateTouching(overlay, plan, touched, opts);
     EXPECT_EQ(parallel.violations, serial.violations) << threads << " threads";
     EXPECT_EQ(parallel.matches_checked, serial.matches_checked)
         << threads << " threads";
