@@ -9,6 +9,29 @@
 
 namespace ged {
 
+namespace {
+
+// The validator seeds and commits through the compiled plan over a frozen
+// CSR base, so the policy fields that ask for another scan path could never
+// take effect here.
+Status CheckIncrementalPolicy(const ExecutionPolicy& policy) {
+  if (policy.plan == PlanMode::kPerRule) {
+    return Status::InvalidArgument(
+        "plan=per_rule is inert on the incremental surface: the seed pass "
+        "and every commit re-scan run the compiled ruleset plan; use "
+        "plan=compiled, or full Validate for a per-rule scan");
+  }
+  if (policy.snapshot == SnapshotMode::kNever) {
+    return Status::InvalidArgument(
+        "snapshot=never is inert on the incremental surface: the validator "
+        "always serves from a frozen CSR base; use snapshot=auto, or full "
+        "Validate for a mutable-graph scan");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
                                            ValidationOptions options)
     : graph_(std::move(g)), sigma_(std::move(sigma)), options_(options) {
@@ -19,14 +42,11 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
   // never be reconciled exactly, so the defense budget is full-validation
   // only.
   options_.max_steps_per_scan = 0;
-  if (Status s = ValidateExecutionPolicy(options_.policy,
-                                         ExecutionSurface::kIncremental);
-      !s.ok()) {
+  if (Status s = CheckIncrementalPolicy(options_.policy); !s.ok()) {
     // The constructor cannot report failure, so degrade to the nearest
     // valid policy instead of silently running an inert configuration;
     // Create() is the entry point that rejects with this Status. Plan and
-    // snapshot have one valid value here; join and kernel fall back to
-    // kAuto only when a kernel rule is what failed.
+    // snapshot have one valid value here.
     if (StructuredLogger* logger = options_.obs.Log()) {
       logger->Log(LogLevel::kError, "invalid_execution_policy",
                   {{"error", s.message()},
@@ -34,12 +54,6 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
     }
     options_.policy.plan = PlanMode::kCompiled;
     options_.policy.snapshot = SnapshotMode::kAuto;
-    if (!ValidateExecutionPolicy(options_.policy,
-                                 ExecutionSurface::kIncremental)
-             .ok()) {
-      options_.policy.join = JoinStrategy::kAuto;
-      options_.policy.kernel = KernelBackend::kAuto;
-    }
   }
   // Compile Σ once; the seed pass and every commit re-scan share it.
   plan_ = RulesetPlan::Compile(sigma_);
@@ -84,9 +98,7 @@ void IncrementalValidator::MirrorWalMetrics() {
 
 Result<std::unique_ptr<IncrementalValidator>> IncrementalValidator::Create(
     Graph g, std::vector<Ged> sigma, ValidationOptions options) {
-  Status s =
-      ValidateExecutionPolicy(options.policy, ExecutionSurface::kIncremental);
-  if (!s.ok()) return s;
+  if (Status s = CheckIncrementalPolicy(options.policy); !s.ok()) return s;
   auto v = std::make_unique<IncrementalValidator>(std::move(g),
                                                   std::move(sigma),
                                                   std::move(options));

@@ -28,7 +28,7 @@
 // meantime. Readers of overlay() pin the epoch's base via shared_ptr, so a swap
 // never invalidates a snapshot someone still holds. Policies that ask for
 // another scan path (plan=kPerRule, snapshot=kNever) would be inert, so
-// Create() / ValidateExecutionPolicy reject them with InvalidArgument.
+// Create() rejects them with InvalidArgument.
 //
 // Exactness argument (append-only deltas):
 //  * topology only grows, so every match of Q in the old graph is still a
@@ -68,17 +68,16 @@ class IncrementalValidator {
   /// the report. `options.max_violations_per_ged` is forced to 0 (a truncated
   /// report cannot be maintained exactly); the other knobs (threads,
   /// semantics, the execution policy) apply to the initial pass and every
-  /// commit. If the effective policy is invalid for the incremental
-  /// surface, the constructor degrades it to the nearest valid policy
-  /// (plan=kCompiled, snapshot=kAuto, and join/kernel back to kAuto if a
-  /// kernel rule failed) and logs an `invalid_execution_policy`
+  /// commit. If the policy asks for plan=kPerRule or snapshot=kNever
+  /// (inert here), the constructor degrades those fields to plan=kCompiled
+  /// and snapshot=kAuto and logs an `invalid_execution_policy`
   /// structured-log error — use Create() to get the hard rejection.
   IncrementalValidator(Graph g, std::vector<Ged> sigma,
                        ValidationOptions options = {});
 
-  /// Validating factory: rejects a policy that cannot do what it claims on
-  /// the incremental surface (e.g. plan=kPerRule — commits always run the
-  /// compiled plan) with Status::InvalidArgument before any work starts.
+  /// Validating factory: rejects plan=kPerRule and snapshot=kNever (commits
+  /// always run the compiled plan over a frozen base) with
+  /// Status::InvalidArgument before any work starts.
   static Result<std::unique_ptr<IncrementalValidator>> Create(
       Graph g, std::vector<Ged> sigma, ValidationOptions options = {});
 
@@ -120,9 +119,9 @@ class IncrementalValidator {
   const std::vector<Ged>& sigma() const { return sigma_; }
   /// The compiled shared plan of Σ.
   const RulesetPlan& plan() const { return plan_; }
-  /// The execution policy the validator runs under, with invalid
-  /// combinations degraded (see the constructor note). Always passes
-  /// ValidateExecutionPolicy for the incremental surface.
+  /// The execution policy the validator runs under, with inert fields
+  /// degraded (see the constructor note): plan is always kCompiled and
+  /// snapshot always kAuto.
   const ExecutionPolicy& policy() const { return options_.policy; }
   /// The live report: always equal to Validate(graph(), sigma()) with the
   /// same options. `matches_checked` is cumulative across the initial pass

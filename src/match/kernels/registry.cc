@@ -120,13 +120,10 @@ KernelBackend KernelOverride() {
   return OverrideSlot().load(std::memory_order_relaxed);
 }
 
-const IntersectionKernel& ResolveKernel(KernelBackend requested) {
+const IntersectionKernel& ResolveKernel() {
   KernelBackend forced = KernelOverride();
   if (forced != KernelBackend::kAuto) {
     if (const IntersectionKernel* k = GetKernel(forced)) return *k;
-  }
-  if (requested != KernelBackend::kAuto) {
-    if (const IntersectionKernel* k = GetKernel(requested)) return *k;
   }
   if (const IntersectionKernel* k = GetKernel(DetectKernelBackend())) {
     return *k;

@@ -10,14 +10,10 @@
 //      variable ("scalar" | "avx2" | "neon", read once at first dispatch) —
 //      the testing/benchmarking hook, and how CI's forced-scalar leg
 //      exercises dispatch fallback on any host;
-//   2. the caller's requested backend (MatchOptions::kernel_backend /
-//      ExecutionPolicy::kernel) when it names one explicitly;
-//   3. CPUID/auxval detection: AVX2 via __builtin_cpu_supports on x86-64,
+//   2. CPUID/auxval detection: AVX2 via __builtin_cpu_supports on x86-64,
 //      NEON unconditionally on aarch64 (baseline ISA), scalar otherwise.
 //
-// Resolution never fails: an unavailable request falls back to detection
-// (the ExecutionPolicy validator is where unavailable explicit requests
-// are rejected with InvalidArgument before work starts).
+// Resolution never fails: scalar is the final fallback.
 
 #ifndef GEDLIB_MATCH_KERNELS_REGISTRY_H_
 #define GEDLIB_MATCH_KERNELS_REGISTRY_H_
@@ -44,7 +40,7 @@ std::vector<KernelBackend> AvailableKernelBackends();
 KernelBackend DetectKernelBackend();
 
 /// Process-wide override: every subsequent ResolveKernel returns this
-/// backend regardless of what callers request. kAuto clears the override.
+/// backend instead of the detected one. kAuto clears the override.
 /// Unavailable backends are ignored (the override keeps its old value) and
 /// false is returned. Thread-safe; takes effect for enumerations that
 /// start after the call.
@@ -54,10 +50,9 @@ bool SetKernelOverride(KernelBackend backend);
 /// once dispatch has happened at least once.
 KernelBackend KernelOverride();
 
-/// Dispatch: override > explicit request > detection. Always returns a
-/// usable kernel (scalar as the final fallback).
-const IntersectionKernel& ResolveKernel(
-    KernelBackend requested = KernelBackend::kAuto);
+/// Dispatch: override > detection. Always returns a usable kernel (scalar
+/// as the final fallback).
+const IntersectionKernel& ResolveKernel();
 
 /// RAII override for tests/benchmarks: forces `backend` for its lifetime,
 /// then restores the previous override.

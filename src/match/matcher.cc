@@ -818,10 +818,10 @@ class Search {
   MatchProfile local_prof_;
   MatchProfile* prof_ = nullptr;
   // Intersection backend, resolved once per enumeration (override >
-  // requested > detection; match/kernels/registry.h). Only the
-  // span-capable backends dispatch; the legacy path never consults it.
+  // detection; match/kernels/registry.h). Only the span-capable backends
+  // dispatch; the legacy path never consults it.
   const IntersectionKernel* kernel_ =
-      kIntersectable ? &ResolveKernel(opts_.kernel_backend) : nullptr;
+      kIntersectable ? &ResolveKernel() : nullptr;
 };
 
 // ----- backend-generic implementations (instantiated for both views) --------

@@ -21,10 +21,11 @@
 //
 // The search runs against any GraphView backend (graph/view.h): every entry
 // point is overloaded for the mutable Graph, the immutable FrozenGraph
-// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). Both overloads share one templated implementation, so match
-// sets are identical; against a FrozenGraph the search additionally exploits
-// label-contiguous adjacency (candidates come pre-sorted and pre-filtered,
-// degree filtering is a binary search).
+// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). All
+// three overloads share one templated implementation, so match sets are
+// identical; against a FrozenGraph or an OverlayView the search additionally
+// exploits label-contiguous adjacency (candidates come pre-sorted and
+// pre-filtered, degree filtering is a binary search).
 
 #ifndef GEDLIB_MATCH_MATCHER_H_
 #define GEDLIB_MATCH_MATCHER_H_
@@ -36,7 +37,6 @@
 #include "graph/frozen.h"
 #include "graph/graph.h"
 #include "graph/pattern.h"
-#include "match/kernels/kernel.h"
 #include "obs/obs.h"
 
 namespace ged {
@@ -69,17 +69,11 @@ struct MatchOptions {
   /// edge probes. Worst-case-optimal on dense multi-constraint patterns;
   /// identical match sets either way. Only engages on backends with
   /// columnar sorted neighbor spans (HasNeighborSpans — the FrozenGraph
-  /// CSR snapshot); the mutable Graph always takes the legacy path, whose
-  /// unsorted adjacency has nothing to intersect.
+  /// CSR snapshot and the OverlayView over it); the mutable Graph always
+  /// takes the legacy path, whose unsorted adjacency has nothing to
+  /// intersect. The intersection-kernel backend is chosen process-wide
+  /// (match/kernels/registry.h), not per call.
   bool use_intersection = true;
-  /// Which intersection-kernel backend the k-way path runs on
-  /// (match/kernels/registry.h). kAuto defers to runtime detection; an
-  /// explicit backend that is unavailable in this binary / on this host
-  /// falls back to detection (callers wanting hard failure validate via
-  /// ExecutionPolicy first). A process-wide override (SetKernelOverride /
-  /// GEDLIB_KERNEL_BACKEND) beats this field. Ignored on the legacy path
-  /// and on backends without columnar neighbor spans.
-  KernelBackend kernel_backend = KernelBackend::kAuto;
   /// Stop after this many matches (0 = unlimited).
   uint64_t max_matches = 0;
   /// Abort after this many search-tree nodes (0 = unlimited).
@@ -196,9 +190,9 @@ bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h);
 /// The most selective variable of `q` in `g` by the matcher's own ordering
 /// statistics: smallest label-index candidate count, ties to the highest
 /// pattern degree, then the lowest id — the same ranking BuildOrder() roots
-/// the search at. The single statistic the shared-plan executor
-/// (plan/SelectPinVariable) and the parallel validation drivers partition
-/// work on, so pins land on the variable the search itself would pick.
+/// the search at. The single statistic the parallel validation drivers
+/// (per-rule and shared-plan) partition work on, so pins land on the
+/// variable the search itself would pick.
 /// Requires q.NumVars() > 0.
 VarId MostSelectiveVariable(const Pattern& q, const Graph& g);
 VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g);

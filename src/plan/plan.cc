@@ -126,20 +126,4 @@ MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
   return ScanBucketT(g, bucket, mopts, checked, on_violation);
 }
 
-// Pin selection delegates to the matcher's own root-variable statistic
-// (match/MostSelectiveVariable) so parallel partitioning pins the variable
-// the search would root at anyway — one ranking, shared by BuildOrder, the
-// plan executor, and the validation drivers.
-VarId SelectPinVariable(const Pattern& q, const Graph& g) {
-  return MostSelectiveVariable(q, g);
-}
-
-VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g) {
-  return MostSelectiveVariable(q, g);
-}
-
-VarId SelectPinVariable(const Pattern& q, const OverlayView& g) {
-  return MostSelectiveVariable(q, g);
-}
-
 }  // namespace ged

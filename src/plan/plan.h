@@ -15,9 +15,9 @@
 // partitioning tools of the matcher apply unchanged, since the bucket
 // pattern *is* a pattern) and reports each rule's violations with the match
 // permuted back into the rule's own variable order, so reports are
-// bit-identical to the per-GED legacy path. SelectPinVariable picks the
-// enumeration variable to partition parallel work on, by label-index
-// selectivity (graph/Graph::CandidateCount).
+// bit-identical to the per-GED legacy path. Parallel drivers partition a
+// bucket's work on the matcher's own root variable
+// (match/MostSelectiveVariable).
 
 #ifndef GEDLIB_PLAN_PLAN_H_
 #define GEDLIB_PLAN_PLAN_H_
@@ -96,15 +96,6 @@ MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
 MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation);
-
-/// The bucket variable to partition parallel work on: the matcher's own
-/// root-variable statistic (match/MostSelectiveVariable — smallest
-/// label-index candidate count, ties to highest pattern degree then lowest
-/// id), so pins and the search ordering come from the same selectivity
-/// ranking. Requires NumVars() > 0.
-VarId SelectPinVariable(const Pattern& q, const Graph& g);
-VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g);
-VarId SelectPinVariable(const Pattern& q, const OverlayView& g);
 
 }  // namespace ged
 

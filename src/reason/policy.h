@@ -1,14 +1,12 @@
-// ExecutionPolicy: the coherent engine-execution options API.
+// ExecutionPolicy: the engine-execution options of full validation.
 //
-// Every execution knob is a field of one validated struct: each field is an
-// enum whose kAuto/default means "the engine decides", and
-// ValidateExecutionPolicy rejects combinations that cannot do what they
-// claim with Status::InvalidArgument *before* any work starts — at
-// options-validation time, not as a mid-run warning. That covers the
-// interactions between knobs (the k-way intersection needs a backend with
-// sorted columnar spans; a forced SIMD backend needs the intersection path)
-// and knobs that are inert on one surface (the incremental validator always
-// commits through the compiled plan and a frozen CSR base).
+// Each engine choice is one enum field whose default means "the engine
+// decides"; the non-default values exist for ablation and differential
+// testing and produce the same reports as the defaults. The intersection
+// kernel backend is not a policy field: it is chosen process-wide
+// (match/kernels/registry.h). The incremental validator always commits
+// through the compiled plan over a frozen CSR base, so it rejects
+// plan=kPerRule and snapshot=kNever (IncrementalValidator::Create).
 
 #ifndef GEDLIB_REASON_POLICY_H_
 #define GEDLIB_REASON_POLICY_H_
@@ -16,17 +14,12 @@
 #include <cstdint>
 #include <string>
 
-#include "common/status.h"
-#include "match/kernels/kernel.h"
-
 namespace ged {
 
 /// How the matcher generates candidates per search variable.
 enum class JoinStrategy : uint8_t {
-  kAuto = 0,       ///< leapfrog where the backend supports it (default)
-  kLeapfrog,       ///< require the worst-case-optimal k-way intersection;
-                   ///< invalid where no span-capable backend will serve it
-  kPickSmallest,   ///< legacy scan-smallest-list generator (ablation)
+  kAuto = 0,      ///< leapfrog where the backend supports it (default)
+  kPickSmallest,  ///< legacy scan-smallest-list generator (ablation)
 };
 
 /// How a ruleset Σ is evaluated.
@@ -38,28 +31,14 @@ enum class PlanMode : uint8_t {
 /// Whether full validation compiles a mutable graph into a FrozenGraph CSR
 /// snapshot before scanning.
 enum class SnapshotMode : uint8_t {
-  kAuto = 0,  ///< freeze above the amortization cutoff, and always when the
-              ///< policy requires the leapfrog join (which needs the CSR)
+  kAuto = 0,  ///< freeze above the amortization cutoff
   kNever,     ///< always scan the mutable adjacency (freeze-cost studies)
 };
 
-/// Where a policy is about to be used; some combinations are only
-/// meaningful (or only wrong) on one surface.
-enum class ExecutionSurface : uint8_t {
-  kValidation,   ///< full Validate / ValidateWithPlan over one graph
-  kIncremental,  ///< IncrementalValidator commit maintenance
-};
-
-/// The validated execution policy. Default-constructed = engine decides
-/// everything (today: compiled plan, leapfrog where possible, snapshot
-/// above cutoff, auto-detected kernel backend).
+/// The execution policy. Default-constructed = engine decides everything
+/// (today: compiled plan, leapfrog where possible, snapshot above cutoff).
 struct ExecutionPolicy {
   JoinStrategy join = JoinStrategy::kAuto;
-  /// SIMD intersection backend for the leapfrog join
-  /// (match/kernels/registry.h). Non-auto values are validated against the
-  /// running binary/host, and are inert — hence rejected — when `join`
-  /// disables the intersection path.
-  KernelBackend kernel = KernelBackend::kAuto;
   PlanMode plan = PlanMode::kCompiled;
   SnapshotMode snapshot = SnapshotMode::kAuto;
 
@@ -105,28 +84,6 @@ struct DurabilityOptions {
   bool enabled() const { return !dir.empty(); }
   bool operator==(const DurabilityOptions&) const = default;
 };
-
-/// Stable lowercase name for log/EXPLAIN rendering.
-const char* FsyncPolicyName(DurabilityOptions::Fsync v);
-
-/// Rejects inert or unsatisfiable combinations with InvalidArgument:
-///   * join=kLeapfrog with snapshot=kNever on the validation surface — the
-///     mutable-graph scan has no sorted spans to intersect;
-///   * plan=kPerRule or snapshot=kNever on the incremental surface —
-///     the seed pass and every commit re-scan always run the compiled plan
-///     over a frozen CSR base, so neither setting could take effect;
-///   * kernel != kAuto with join=kPickSmallest — a forced backend that can
-///     never run;
-///   * kernel != kAuto naming a backend unavailable in this binary or on
-///     this host.
-/// Returns OK for everything the engine can honor as stated.
-Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
-                               ExecutionSurface surface);
-
-/// Stable lowercase names for log/EXPLAIN rendering.
-const char* JoinStrategyName(JoinStrategy v);
-const char* PlanModeName(PlanMode v);
-const char* SnapshotModeName(SnapshotMode v);
 
 }  // namespace ged
 

@@ -18,7 +18,6 @@ MatchOptions BaseMatchOptions(const ValidationOptions& vopts) {
   MatchOptions mopts;
   mopts.semantics = vopts.semantics;
   mopts.use_intersection = vopts.policy.join != JoinStrategy::kPickSmallest;
-  mopts.kernel_backend = vopts.policy.kernel;
   mopts.max_steps = vopts.max_steps_per_scan;
   mopts.obs = vopts.obs;
   return mopts;
@@ -345,8 +344,8 @@ ValidationReport ValidateParallelLegacy(const GView& g,
                                         const ValidationOptions& options) {
   // Work items: (ged, chunk of candidate nodes for the most selective
   // variable — the matcher's own root statistic, shared with the compiled
-  // path's SelectPinVariable). Pinning one variable partitions the match
-  // space exactly; chunking keeps the per-item matcher setup amortized.
+  // path). Pinning one variable partitions the match space exactly;
+  // chunking keeps the per-item matcher setup amortized.
   struct WorkItem {
     size_t ged_index;
     VarId pin_var;
@@ -412,7 +411,7 @@ ValidationReport ValidateParallelPlan(const GView& g, const RulesetPlan& plan,
       items.push_back(WorkItem{&bucket, b, 0, {}});  // single empty match
       continue;
     }
-    VarId pin_var = SelectPinVariable(bucket.pattern, g);
+    VarId pin_var = MostSelectiveVariable(bucket.pattern, g);
     std::vector<NodeId> candidates = PinCandidates(bucket.pattern, pin_var, g);
     size_t chunk = std::max<size_t>(1, candidates.size() / chunks_per_bucket);
     for (size_t begin = 0; begin < candidates.size(); begin += chunk) {
@@ -483,12 +482,8 @@ namespace {
 constexpr size_t kFreezeSizeCutoff = 4096;
 
 bool ShouldFreeze(const Graph& g, const ValidationOptions& options) {
-  if (options.policy.snapshot == SnapshotMode::kNever) return false;
-  // An explicit leapfrog requirement always freezes: the k-way intersection
-  // only engages on the CSR's sorted columnar spans, so honoring the policy
-  // on a tiny graph beats amortizing the freeze.
-  if (options.policy.join == JoinStrategy::kLeapfrog) return true;
-  return g.Size() >= kFreezeSizeCutoff;
+  return options.policy.snapshot != SnapshotMode::kNever &&
+         g.Size() >= kFreezeSizeCutoff;
 }
 
 // RulesetPlan::Compile under the "PlanCompile" span, with plan-shape

@@ -71,24 +71,25 @@ struct ValidationOptions {
   /// (violations are sorted, caps keep the smallest) regardless of thread
   /// count.
   unsigned num_threads = 1;
-  /// The coherent execution policy (reason/policy.h): join strategy, SIMD
-  /// kernel backend, plan mode, snapshot mode. Validate with
-  /// ValidateExecutionPolicy / IncrementalValidator::Create to get
-  /// InvalidArgument on inert combinations before work starts.
+  /// The execution policy (reason/policy.h): join strategy, plan mode and
+  /// snapshot mode. Every combination is valid for full validation and
+  /// yields the same report; IncrementalValidator::Create rejects the two
+  /// settings that would be inert there.
   ///
-  /// Semantics the policy carries:
   ///   * join: worst-case-optimal k-way intersection vs the legacy
   ///     pick-smallest-list generator. Reports are identical either way;
   ///     kAuto leapfrogs wherever the backend has sorted columnar spans.
+  ///     The intersection-kernel backend is chosen process-wide
+  ///     (match/kernels/registry.h).
   ///   * plan: shared ruleset plan vs legacy per-GED enumeration (kept for
   ///     differential testing and ablation); reports are bit-identical.
   ///     Full Validate only — IncrementalValidator always runs the plan.
   ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
   ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
-  ///     kAuto engages above an amortization cutoff (and always under
-  ///     join=kLeapfrog, which needs the CSR); kNever scans the mutable
-  ///     adjacency (freeze-cost studies). Full Validate on a mutable Graph
-  ///     only — IncrementalValidator always serves from a frozen base.
+  ///     kAuto engages above an amortization cutoff; kNever scans the
+  ///     mutable adjacency (freeze-cost studies). Full Validate on a
+  ///     mutable Graph only — IncrementalValidator always serves from a
+  ///     frozen base.
   ExecutionPolicy policy;
   /// Re-freeze cutoff (IncrementalValidator): once the overlay's side index
   /// outweighs this many entries (OverlayView::DeltaWeight), a background

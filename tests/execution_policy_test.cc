@@ -1,120 +1,86 @@
-// ExecutionPolicy (reason/policy.h): the coherent engine-options API.
-// Covers the options-validation rules that replaced runtime inert-knob
-// warnings and the kernel-backend name round-trip the env override depends
-// on.
+// ExecutionPolicy (reason/policy.h) on the incremental surface, where
+// plan=per_rule and snapshot=never would be inert: IncrementalValidator::
+// Create rejects them, the plain constructor degrades them and logs. Also
+// covers the kernel-backend name round-trip the env override depends on.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "gen/scenarios.h"
+#include "incr/incremental.h"
 #include "match/kernels/kernel.h"
-#include "match/kernels/registry.h"
-#include "reason/policy.h"
+#include "obs/log.h"
+#include "obs/obs.h"
+#include "reason/validation.h"
 
 namespace ged {
 namespace {
 
-TEST(ExecutionPolicy, DefaultPolicyIsValidOnEverySurface) {
-  ExecutionPolicy policy;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental).ok());
+void ExpectCreateRejects(const ValidationOptions& opts,
+                         const std::string& field) {
+  KbInstance kb = GenKnowledgeBase(KbParams{});
+  auto rejected = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find(field), std::string::npos)
+      << rejected.status().message();
 }
 
-TEST(ExecutionPolicy, RejectsLeapfrogWithoutSnapshot) {
-  // Rule 1: the mutable-graph scan has no sorted spans, so an explicit
-  // leapfrog requirement cannot be honored with the snapshot disabled.
-  ExecutionPolicy policy;
-  policy.join = JoinStrategy::kLeapfrog;
-  policy.snapshot = SnapshotMode::kNever;
-  Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // Without the leapfrog requirement, a mutable-graph scan is a valid full
-  // validation.
-  policy.join = JoinStrategy::kAuto;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+TEST(ExecutionPolicy, CreateAcceptsTheDefaultPolicy) {
+  KbInstance kb = GenKnowledgeBase(KbParams{});
+  auto v = IncrementalValidator::Create(kb.graph, Example1Geds());
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value()->policy(), ExecutionPolicy{});
 }
 
-TEST(ExecutionPolicy, RejectsPerRulePlanOnIncrementalSurface) {
-  // Rule 2: the incremental validator seeds and commits through the
-  // compiled plan only, so plan=per_rule there could never take effect.
-  ExecutionPolicy policy;
-  policy.plan = PlanMode::kPerRule;
-  Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("plan=per_rule"), std::string::npos)
-      << s.message();
-  // Full validation keeps the per-rule scan (the differential oracle).
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+TEST(ExecutionPolicy, CreateRejectsPerRulePlan) {
+  // The validator seeds and commits through the compiled plan only, so
+  // plan=per_rule could never take effect.
+  ValidationOptions opts;
+  opts.policy.plan = PlanMode::kPerRule;
+  ExpectCreateRejects(opts, "plan=per_rule");
 }
 
-TEST(ExecutionPolicy, RejectsSnapshotNeverOnIncrementalSurface) {
-  // Rule 3: the incremental validator always serves from a frozen CSR base,
-  // so snapshot=never there could never take effect.
-  ExecutionPolicy policy;
-  policy.snapshot = SnapshotMode::kNever;
-  Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("snapshot=never"), std::string::npos)
-      << s.message();
-  // Full validation keeps the mutable-graph scan (freeze-cost studies).
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+TEST(ExecutionPolicy, CreateRejectsSnapshotNever) {
+  // The validator always serves from a frozen CSR base, so snapshot=never
+  // could never take effect.
+  ValidationOptions opts;
+  opts.policy.snapshot = SnapshotMode::kNever;
+  ExpectCreateRejects(opts, "snapshot=never");
 }
 
-TEST(ExecutionPolicy, RejectsForcedKernelWithLegacyJoin) {
-  // Rule 4: a forced SIMD backend can never run under the pick-smallest
-  // generator — inert knobs are errors now.
-  ExecutionPolicy policy;
-  policy.join = JoinStrategy::kPickSmallest;
-  policy.kernel = KernelBackend::kScalar;
-  for (ExecutionSurface surface :
-       {ExecutionSurface::kValidation, ExecutionSurface::kIncremental}) {
-    Status s = ValidateExecutionPolicy(policy, surface);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(ExecutionPolicy, RejectsUnavailableKernelBackend) {
-  // Rule 5: an explicit backend this binary/host cannot serve is rejected
-  // up front (ResolveKernel would silently fall back — the policy layer is
-  // where "I require X" gets its hard answer).
-  bool found_missing = false;
-  for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kNeon}) {
-    ExecutionPolicy policy;
-    policy.kernel = b;
-    Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
-    if (KernelAvailable(b)) {
-      EXPECT_TRUE(s.ok()) << KernelBackendName(b);
-    } else {
-      found_missing = true;
-      ASSERT_FALSE(s.ok()) << KernelBackendName(b);
-      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-      // The error teaches the fix: it lists what is available.
-      EXPECT_NE(s.message().find("available"), std::string::npos)
-          << s.message();
+TEST(ExecutionPolicy, ConstructorDegradesInertFieldsAndLogs) {
+  // The plain constructor cannot report failure, so it resets the inert
+  // fields and says so through the structured log. Fields the failure did
+  // not involve are kept.
+  KbInstance kb = GenKnowledgeBase(KbParams{});
+  ObsSession session;
+  std::vector<std::string> lines;
+  LoggerOptions lopts;
+  lopts.min_level = LogLevel::kError;
+  lopts.sink = [&lines](const std::string& line) { lines.push_back(line); };
+  session.Log().Configure(std::move(lopts));
+  ValidationOptions opts;
+  opts.obs = session.Options();
+  opts.policy.plan = PlanMode::kPerRule;
+  opts.policy.snapshot = SnapshotMode::kNever;
+  opts.policy.join = JoinStrategy::kPickSmallest;
+  IncrementalValidator degraded(kb.graph, Example1Geds(), opts);
+  EXPECT_EQ(degraded.policy().plan, PlanMode::kCompiled);
+  EXPECT_EQ(degraded.policy().snapshot, SnapshotMode::kAuto);
+  EXPECT_EQ(degraded.policy().join, JoinStrategy::kPickSmallest);
+  bool logged = false;
+  for (const std::string& line : lines) {
+    if (line.find("invalid_execution_policy") != std::string::npos) {
+      logged = true;
     }
   }
-  // At least one of AVX2/NEON is absent on any single-ISA host; if a future
-  // host serves both, the available half of the loop still ran.
-  (void)found_missing;
-}
-
-TEST(ExecutionPolicy, ScalarKernelAlwaysValidatesUnderAutoJoin) {
-  ExecutionPolicy policy;
-  policy.kernel = KernelBackend::kScalar;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
-  policy.join = JoinStrategy::kLeapfrog;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+  EXPECT_TRUE(logged);
+  ValidationReport full = degraded.RevalidateFull();
+  EXPECT_EQ(degraded.report().satisfied, full.satisfied);
+  EXPECT_EQ(degraded.report().violations, full.violations);
 }
 
 // ----- backend name round-trip ----------------------------------------------
@@ -130,15 +96,6 @@ TEST(KernelBackendNames, ParseRoundTripsEveryName) {
   KernelBackend parsed = KernelBackend::kAuto;
   EXPECT_FALSE(ParseKernelBackend("sse9", &parsed));
   EXPECT_FALSE(ParseKernelBackend("", &parsed));
-}
-
-TEST(PolicyNames, StableLowercaseNames) {
-  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kLeapfrog), "leapfrog");
-  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kPickSmallest),
-               "pick_smallest");
-  EXPECT_STREQ(PlanModeName(PlanMode::kCompiled), "compiled");
-  EXPECT_STREQ(SnapshotModeName(SnapshotMode::kNever), "never");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "match/matcher.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "reason/validation.h"
@@ -580,44 +579,6 @@ TEST(IncrementalValidator, IntersectionEngagesOnOverlayCommits) {
   EXPECT_GT(lf_rounds(), rounds_before)
       << "leapfrog never engaged on an overlay commit";
   ExpectReportsEqual(v.report(), v.RevalidateFull());
-}
-
-TEST(IncrementalValidator, InertPerRulePolicyIsRejected) {
-  // The validator seeds and commits through the compiled plan only, so
-  // plan=per_rule could never take effect: Create() rejects it before any
-  // work starts.
-  KbInstance kb = GenKnowledgeBase(KbParams{});
-  ValidationOptions opts;
-  opts.policy.plan = PlanMode::kPerRule;
-  auto rejected = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("plan=per_rule"),
-            std::string::npos)
-      << rejected.status().message();
-
-  // The plain constructor cannot report failure, so it degrades the
-  // invalid policy to the nearest valid one and says so through the
-  // structured log. Valid fields the failure did not involve are kept.
-  ObsSession session;
-  std::vector<std::string> lines;
-  LoggerOptions lopts;
-  lopts.min_level = LogLevel::kError;
-  lopts.sink = [&lines](const std::string& line) { lines.push_back(line); };
-  session.Log().Configure(std::move(lopts));
-  opts.obs = session.Options();
-  opts.policy.join = JoinStrategy::kLeapfrog;
-  IncrementalValidator degraded(kb.graph, Example1Geds(), opts);
-  EXPECT_EQ(degraded.policy().plan, PlanMode::kCompiled);
-  EXPECT_EQ(degraded.policy().join, JoinStrategy::kLeapfrog);
-  bool logged = false;
-  for (const std::string& line : lines) {
-    if (line.find("invalid_execution_policy") != std::string::npos) {
-      logged = true;
-    }
-  }
-  EXPECT_TRUE(logged);
-  ExpectReportsEqual(degraded.report(), degraded.RevalidateFull());
 }
 
 TEST(IncrementalValidator, CreateFreezesTheGraphOnce) {
