@@ -30,7 +30,7 @@ Coercion BuildCoercion(const EqRel& eq) {
     }
   }
   // Known constants become quotient attributes; attribute classes without a
-  // constant stay Eq-only (EqSatisfiesLiteral sees them).
+  // constant stay Eq-only (EqSatisfiesAll sees them).
   for (NodeId q = 0; q < co.graph.NumNodes(); ++q) {
     for (const auto& [attr, term] : eq.ClassAttrs(co.rep[q])) {
       auto c = eq.TermConst(term);
@@ -40,11 +40,7 @@ Coercion BuildCoercion(const EqRel& eq) {
   return co;
 }
 
-namespace {
-
-// Satisfaction / entailment / application of a literal against the live Eq,
-// with the match given as base-graph node ids.
-bool EqLiteralHolds(const EqRel& eq, const Match& base_match,
+bool LiteralHoldsAt(const EqRel& eq, const Match& base_match,
                     const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kConst: {
@@ -64,7 +60,7 @@ bool EqLiteralHolds(const EqRel& eq, const Match& base_match,
   return false;
 }
 
-void ApplyLiteral(EqRel* eq, const Match& base_match, const Literal& l) {
+void ApplyLiteralAt(EqRel* eq, const Match& base_match, const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kConst: {
       TermId t = eq->GetOrCreateTerm(base_match[l.x], l.a);
@@ -83,6 +79,8 @@ void ApplyLiteral(EqRel* eq, const Match& base_match, const Literal& l) {
   }
 }
 
+namespace {
+
 Match ToBaseMatch(const Coercion& co, const Match& h) {
   Match out(h.size());
   for (size_t i = 0; i < h.size(); ++i) out[i] = co.rep[h[i]];
@@ -91,16 +89,11 @@ Match ToBaseMatch(const Coercion& co, const Match& h) {
 
 }  // namespace
 
-bool EqSatisfiesLiteral(const EqRel& eq, const Coercion& co, const Match& h,
-                        const Literal& literal) {
-  return EqLiteralHolds(eq, ToBaseMatch(co, h), literal);
-}
-
 bool EqSatisfiesAll(const EqRel& eq, const Coercion& co, const Match& h,
                     const std::vector<Literal>& literals) {
   Match base_match = ToBaseMatch(co, h);
   for (const Literal& l : literals) {
-    if (!EqLiteralHolds(eq, base_match, l)) return false;
+    if (!LiteralHoldsAt(eq, base_match, l)) return false;
   }
   return true;
 }
@@ -111,7 +104,7 @@ bool Deducible(const EqRel& eq, const Literal& literal_on_base_nodes) {
   size_t needed = std::max(l.x, l.kind == LiteralKind::kConst ? l.x : l.y) + 1;
   identity.resize(needed);
   for (size_t i = 0; i < needed; ++i) identity[i] = static_cast<NodeId>(i);
-  return EqLiteralHolds(eq, identity, l);
+  return LiteralHoldsAt(eq, identity, l);
 }
 
 EqRel BuildEqX(const Graph& gq, const std::vector<Literal>& x) {
@@ -119,18 +112,9 @@ EqRel BuildEqX(const Graph& gq, const std::vector<Literal>& x) {
   Match identity(gq.NumNodes());
   for (NodeId v = 0; v < gq.NumNodes(); ++v) identity[v] = v;
   for (const Literal& l : x) {
-    ApplyLiteral(&eq, identity, l);
+    ApplyLiteralAt(&eq, identity, l);
   }
   return eq;
-}
-
-void ApplyLiteralAt(EqRel* eq, const Match& base_match, const Literal& l) {
-  ApplyLiteral(eq, base_match, l);
-}
-
-bool LiteralHoldsAt(const EqRel& eq, const Match& base_match,
-                    const Literal& l) {
-  return EqLiteralHolds(eq, base_match, l);
 }
 
 Graph InstantiateModel(const EqRel& eq) {
@@ -230,7 +214,7 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
         Match base_match = ToBaseMatch(co, h);
         bool x_sat = true;
         for (const Literal& l : phi.X()) {
-          if (!EqLiteralHolds(eq, base_match, l)) {
+          if (!LiteralHoldsAt(eq, base_match, l)) {
             x_sat = false;
             break;
           }
@@ -243,8 +227,8 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
           return res;  // invalid chasing sequence, result ⊥
         }
         for (const Literal& l : phi.Y()) {
-          if (EqLiteralHolds(eq, base_match, l)) continue;
-          ApplyLiteral(&eq, base_match, l);
+          if (LiteralHoldsAt(eq, base_match, l)) continue;
+          ApplyLiteralAt(&eq, base_match, l);
           ++res.num_steps;
           if (options.record_journal) {
             res.journal.push_back(ChaseStep{idx, base_match, l});

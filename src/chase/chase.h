@@ -85,15 +85,10 @@ struct ChaseResult {
 ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
                   const EqRel* init = nullptr, const ChaseOptions& options = {});
 
-/// Eq-level literal satisfaction used by chase steps and by Theorem 4's
-/// "deduced from Eq" (match `h` is over coercion `co` of `eq`):
-///   x.A = c   — class [h(x).A] exists and contains c;
-///   x.A = y.B — both classes exist and are equal;
-///   x.id = y.id — h(x), h(y) are the same quotient node.
-bool EqSatisfiesLiteral(const EqRel& eq, const Coercion& co, const Match& h,
-                        const Literal& literal);
-
-/// h ⊨ X under Eq semantics.
+/// h ⊨ X under Eq semantics, used by chase steps and by Theorem 4's
+/// "deduced from Eq" (match `h` is over coercion `co` of `eq`): every
+/// literal holds at the base-graph match the coercion maps h back to (see
+/// LiteralHoldsAt).
 bool EqSatisfiesAll(const EqRel& eq, const Coercion& co, const Match& h,
                     const std::vector<Literal>& literals);
 
@@ -109,7 +104,10 @@ EqRel BuildEqX(const Graph& gq, const std::vector<Literal>& x);
 /// (one chase enforcement step; may make `eq` inconsistent).
 void ApplyLiteralAt(EqRel* eq, const Match& base_match, const Literal& l);
 
-/// True iff the literal holds in `eq` at a base-graph match (Eq semantics).
+/// True iff the literal holds in `eq` at a base-graph match (Eq semantics):
+///   x.A = c   — class [h(x).A] exists and contains c;
+///   x.A = y.B — both classes exist and are equal;
+///   x.id = y.id — h(x), h(y) are the same quotient node.
 bool LiteralHoldsAt(const EqRel& eq, const Match& base_match,
                     const Literal& l);
 

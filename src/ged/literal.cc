@@ -35,12 +35,10 @@ std::string Literal::ToString(const Pattern& q) const {
 
 std::string Literal::ToString() const { return Render(nullptr, *this); }
 
-namespace {
-
 // Shared across backends: only attribute lookup differs (tuple scan on
 // Graph, columnar binary search on FrozenGraph), and `attr` abstracts it.
-template <typename GView>
-bool SatisfiesLiteralT(const GView& g, const Match& h, const Literal& l) {
+template <GraphView GView>
+bool SatisfiesLiteral(const GView& g, const Match& h, const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kConst: {
       auto v = g.attr(h[l.x], l.a);
@@ -57,42 +55,24 @@ bool SatisfiesLiteralT(const GView& g, const Match& h, const Literal& l) {
   return false;
 }
 
-template <typename GView>
-bool SatisfiesAllT(const GView& g, const Match& h,
-                   const std::vector<Literal>& literals) {
+template <GraphView GView>
+bool SatisfiesAll(const GView& g, const Match& h,
+                  const std::vector<Literal>& literals) {
   for (const Literal& l : literals) {
-    if (!SatisfiesLiteralT(g, h, l)) return false;
+    if (!SatisfiesLiteral(g, h, l)) return false;
   }
   return true;
 }
 
-}  // namespace
+#define GEDLIB_INSTANTIATE_LITERAL(G)                                    \
+  template bool SatisfiesLiteral(const G&, const Match&, const Literal&); \
+  template bool SatisfiesAll(const G&, const Match&,                     \
+                             const std::vector<Literal>&);
 
-bool SatisfiesLiteral(const Graph& g, const Match& h, const Literal& l) {
-  return SatisfiesLiteralT(g, h, l);
-}
+GEDLIB_INSTANTIATE_LITERAL(Graph)
+GEDLIB_INSTANTIATE_LITERAL(FrozenGraph)
+GEDLIB_INSTANTIATE_LITERAL(OverlayView)
 
-bool SatisfiesLiteral(const FrozenGraph& g, const Match& h, const Literal& l) {
-  return SatisfiesLiteralT(g, h, l);
-}
-
-bool SatisfiesLiteral(const OverlayView& g, const Match& h, const Literal& l) {
-  return SatisfiesLiteralT(g, h, l);
-}
-
-bool SatisfiesAll(const Graph& g, const Match& h,
-                  const std::vector<Literal>& literals) {
-  return SatisfiesAllT(g, h, literals);
-}
-
-bool SatisfiesAll(const FrozenGraph& g, const Match& h,
-                  const std::vector<Literal>& literals) {
-  return SatisfiesAllT(g, h, literals);
-}
-
-bool SatisfiesAll(const OverlayView& g, const Match& h,
-                  const std::vector<Literal>& literals) {
-  return SatisfiesAllT(g, h, literals);
-}
+#undef GEDLIB_INSTANTIATE_LITERAL
 
 }  // namespace ged

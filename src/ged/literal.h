@@ -15,6 +15,7 @@
 #include "graph/frozen.h"
 #include "graph/graph.h"
 #include "graph/pattern.h"
+#include "graph/view.h"
 #include "match/matcher.h"
 
 namespace ged {
@@ -84,18 +85,15 @@ struct Literal {
 ///  * x.A = c   — attribute h(x).A exists and equals c;
 ///  * x.A = y.B — both attributes exist and are equal;
 ///  * x.id = y.id — h(x) and h(y) are the same node.
-/// Overloaded for both read backends (the FrozenGraph overload reads the
-/// snapshot's columnar attribute storage).
-bool SatisfiesLiteral(const Graph& g, const Match& h, const Literal& l);
-bool SatisfiesLiteral(const FrozenGraph& g, const Match& h, const Literal& l);
-bool SatisfiesLiteral(const OverlayView& g, const Match& h, const Literal& l);
+/// One template over the read backend (graph/view.h), instantiated in
+/// literal.cc for Graph, FrozenGraph (columnar attribute storage) and
+/// OverlayView; only the attribute lookup differs between them.
+template <GraphView G>
+bool SatisfiesLiteral(const G& g, const Match& h, const Literal& l);
 
 /// h(x̄) ⊨ X: all literals hold (trivially true for empty X).
-bool SatisfiesAll(const Graph& g, const Match& h,
-                  const std::vector<Literal>& literals);
-bool SatisfiesAll(const FrozenGraph& g, const Match& h,
-                  const std::vector<Literal>& literals);
-bool SatisfiesAll(const OverlayView& g, const Match& h,
+template <GraphView G>
+bool SatisfiesAll(const G& g, const Match& h,
                   const std::vector<Literal>& literals);
 
 }  // namespace ged

@@ -4,14 +4,25 @@
 // implication, the chase — bottoms out in homomorphism enumeration over a
 // graph, and that enumeration only ever *reads*. GraphView names exactly the
 // read surface the matcher (match/), the shared-plan executor (plan/) and
-// validation (reason/) consume, so the same search code runs against either
+// validation (reason/) consume, so the same search code runs against every
 // backend:
 //
 //   * Graph        — the mutable build/ingest structure (graph/graph.h),
 //                    hash-indexed adjacency, listener hooks for incr/;
 //   * FrozenGraph  — an immutable CSR snapshot (graph/frozen.h) with
 //                    label-contiguous sorted adjacency and columnar
-//                    attributes, the read-optimized match backend.
+//                    attributes, the read-optimized match backend;
+//   * OverlayView  — a FrozenGraph base plus a small append-only delta
+//                    side index (graph/overlay.h), the store the
+//                    incremental validator commits into.
+//
+// Each read entry point is one function template constrained by GraphView,
+// declared once in its header and explicitly instantiated at the end of its
+// .cc for the backends it serves: the matcher (match/matcher.cc), literal
+// satisfaction (ged/literal.cc), the plan bucket scan (plan/plan.cc) and
+// full validation (reason/validation.cc) for all three; GraphDelta::Check
+// and Apply (incr/delta.cc) for the two writable ones, Graph and
+// OverlayView. Calling one with any other GraphView type fails to link.
 //
 // The interface is a C++20 concept rather than a virtual base: the matcher
 // touches edges in its innermost loops, and per-edge virtual dispatch would
@@ -33,11 +44,11 @@
 
 namespace ged {
 
-/// The read surface shared by Graph and FrozenGraph. `out(v)` / `in(v)`
-/// must be ranges of Edge; `NodesWithLabel(l)` a range of NodeId. Reference
-/// stability and iteration-order guarantees are backend-specific; callers
-/// needing order independence must sort (the matcher and validation already
-/// do).
+/// The read surface shared by Graph, FrozenGraph and OverlayView. `out(v)` /
+/// `in(v)` must be ranges of Edge; `NodesWithLabel(l)` a range of NodeId.
+/// Reference stability and iteration-order guarantees are backend-specific;
+/// callers needing order independence must sort (the matcher and validation
+/// already do).
 template <typename G>
 concept GraphView = requires(const G& g, NodeId v, Label l, AttrId a) {
   { g.NumNodes() } -> std::convertible_to<size_t>;

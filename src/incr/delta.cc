@@ -23,8 +23,8 @@ void GraphDelta::SetAttr(NodeId v, AttrId attr, Value value) {
   attr_ops_.push_back(AttrOp{v, attr, std::move(value)});
 }
 
-template <typename GBackend>
-Status GraphDelta::CheckT(const GBackend& g) const {
+template <GraphView G>
+Status GraphDelta::Check(const G& g) const {
   if (g.NumNodes() != base_num_nodes_) {
     return Status::InvalidArgument(
         "delta built against a graph with " +
@@ -49,9 +49,9 @@ Status GraphDelta::CheckT(const GBackend& g) const {
   return Status::OK();
 }
 
-template <typename GBackend>
-Result<GraphDelta::Applied> GraphDelta::ApplyT(GBackend* g) const {
-  GEDLIB_RETURN_IF_ERROR(CheckT(*g));
+template <GraphView G>
+Result<GraphDelta::Applied> GraphDelta::Apply(G* g) const {
+  GEDLIB_RETURN_IF_ERROR(Check(*g));
   NodeId base = static_cast<NodeId>(base_num_nodes_);
   Applied applied;
   for (Label label : new_nodes_) {
@@ -87,16 +87,9 @@ Result<GraphDelta::Applied> GraphDelta::ApplyT(GBackend* g) const {
   return applied;
 }
 
-Status GraphDelta::Check(const Graph& g) const { return CheckT(g); }
-
-Status GraphDelta::Check(const OverlayView& g) const { return CheckT(g); }
-
-Result<GraphDelta::Applied> GraphDelta::Apply(Graph* g) const {
-  return ApplyT(g);
-}
-
-Result<GraphDelta::Applied> GraphDelta::Apply(OverlayView* g) const {
-  return ApplyT(g);
-}
+template Status GraphDelta::Check(const Graph&) const;
+template Status GraphDelta::Check(const OverlayView&) const;
+template Result<GraphDelta::Applied> GraphDelta::Apply(Graph*) const;
+template Result<GraphDelta::Applied> GraphDelta::Apply(OverlayView*) const;
 
 }  // namespace ged

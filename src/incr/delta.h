@@ -26,6 +26,7 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
+#include "graph/view.h"
 
 namespace ged {
 
@@ -137,23 +138,20 @@ class GraphDelta {
   /// referenced id is a base or provisional id. Does not mutate `g`. Note
   /// this check alone cannot reject a delta recorded before an edge-only or
   /// attr-only commit — see BindEpoch for the epoch discipline that can.
-  Status Check(const Graph& g) const;
-  Status Check(const OverlayView& g) const;
+  /// Check and Apply are member templates over the writable backends,
+  /// instantiated in delta.cc for Graph and OverlayView.
+  template <GraphView G>
+  Status Check(const G& g) const;
 
   /// Atomically applies the batch: runs Check, then performs every
   /// operation (through the graph's public API, so GraphListener hooks
-  /// fire). On error the graph is untouched. The OverlayView overload is
-  /// the mirror path of IncrementalValidator: the same batch lands in the
-  /// delta overlay with identical ids and the same Applied summary.
-  Result<Applied> Apply(Graph* g) const;
-  Result<Applied> Apply(OverlayView* g) const;
+  /// fire). On error the graph is untouched. Applied to an OverlayView it
+  /// is the mirror path of IncrementalValidator: the same batch lands in
+  /// the delta overlay with identical ids and the same Applied summary.
+  template <GraphView G>
+  Result<Applied> Apply(G* g) const;
 
  private:
-  template <typename GBackend>
-  Status CheckT(const GBackend& g) const;
-  template <typename GBackend>
-  Result<Applied> ApplyT(GBackend* g) const;
-
   struct EdgeOpHash {
     size_t operator()(const EdgeOp& e) const {
       uint64_t h = uint64_t{e.src} * 0x9e3779b97f4a7c15ULL;

@@ -54,15 +54,16 @@ SearchScratch& TlsScratch() {
 }
 
 // The backtracking search, templated over the read backend. The mutable
-// Graph and the FrozenGraph CSR snapshot share all control flow; where the
-// backend provides label-contiguous sorted adjacency (HasLabelRanges), the
-// candidate generator and the degree filter upgrade from filter-and-collect
-// scans to range extraction and binary search. Where it additionally
-// provides columnar neighbor-id spans (HasNeighborSpans) and
-// options.use_intersection is set, candidate generation upgrades once more
-// to the worst-case-optimal k-way leapfrog intersection of *every* sorted
-// list constraining the variable, with per-depth variable selection driven
-// by the intersected-range cardinalities.
+// Graph, the FrozenGraph CSR snapshot and the OverlayView share all control
+// flow; where the backend provides label-contiguous sorted adjacency
+// (HasLabelRanges), the candidate generator and the degree filter upgrade
+// from filter-and-collect scans to range extraction and binary search.
+// Where it additionally provides columnar neighbor-id spans
+// (HasNeighborSpans) and options.use_intersection is set, candidate
+// generation upgrades once more to the worst-case-optimal k-way leapfrog
+// intersection of *every* sorted list constraining the variable, with
+// per-depth variable selection driven by the intersected-range
+// cardinalities.
 template <GraphView GView>
 class Search {
  public:
@@ -824,21 +825,23 @@ class Search {
       kIntersectable ? &ResolveKernel() : nullptr;
 };
 
-// ----- backend-generic implementations (instantiated for both views) --------
+}  // namespace
+
+// ----- public API: one template per entry point -----------------------------
 
 template <GraphView GView>
-MatchStats EnumerateMatchesImpl(const Pattern& q, const GView& g,
-                                const MatchOptions& options,
-                                const MatchCallback& cb) {
+MatchStats EnumerateMatches(const Pattern& q, const GView& g,
+                            const MatchOptions& options,
+                            const MatchCallback& cb) {
   Search<GView> search(q, g, options, cb);
   return search.Run();
 }
 
 template <GraphView GView>
-MatchStats EnumerateMatchesTouchingImpl(const Pattern& q, const GView& g,
-                                        const std::vector<NodeId>& touched,
-                                        const MatchOptions& options,
-                                        const MatchCallback& cb) {
+MatchStats EnumerateMatchesTouching(const Pattern& q, const GView& g,
+                                    const std::vector<NodeId>& touched,
+                                    const MatchOptions& options,
+                                    const MatchCallback& cb) {
   MatchStats total;
   if (q.NumVars() == 0 || touched.empty()) return total;
   bool stop = false;
@@ -868,20 +871,18 @@ MatchStats EnumerateMatchesTouchingImpl(const Pattern& q, const GView& g,
     run_opts.restricted.emplace_back(x, std::move(allowed));
     run_opts.exclude_before_var = x;
     run_opts.exclude_nodes = &touched;
-    MatchStats run =
-        EnumerateMatchesImpl(q, g, run_opts, [&](const Match& h) {
-          ++total.matches;
-          if (!cb(h)) {
-            stop = true;
-            return false;
-          }
-          if (options.max_matches != 0 &&
-              total.matches >= options.max_matches) {
-            stop = true;
-            return false;
-          }
-          return true;
-        });
+    MatchStats run = EnumerateMatches(q, g, run_opts, [&](const Match& h) {
+      ++total.matches;
+      if (!cb(h)) {
+        stop = true;
+        return false;
+      }
+      if (options.max_matches != 0 && total.matches >= options.max_matches) {
+        stop = true;
+        return false;
+      }
+      return true;
+    });
     total.steps += run.steps;
     total.aborted |= run.aborted;
   }
@@ -889,12 +890,11 @@ MatchStats EnumerateMatchesTouchingImpl(const Pattern& q, const GView& g,
 }
 
 template <GraphView GView>
-bool HasMatchImpl(const Pattern& q, const GView& g,
-                  const MatchOptions& options) {
+bool HasMatch(const Pattern& q, const GView& g, const MatchOptions& options) {
   MatchOptions opts = options;
   opts.max_matches = 1;
   bool found = false;
-  EnumerateMatchesImpl(q, g, opts, [&](const Match&) {
+  EnumerateMatches(q, g, opts, [&](const Match&) {
     found = true;
     return false;
   });
@@ -902,10 +902,10 @@ bool HasMatchImpl(const Pattern& q, const GView& g,
 }
 
 template <GraphView GView>
-uint64_t CountMatchesImpl(const Pattern& q, const GView& g,
-                          const MatchOptions& options) {
+uint64_t CountMatches(const Pattern& q, const GView& g,
+                      const MatchOptions& options) {
   uint64_t n = 0;
-  EnumerateMatchesImpl(q, g, options, [&](const Match&) {
+  EnumerateMatches(q, g, options, [&](const Match&) {
     ++n;
     return true;
   });
@@ -913,10 +913,10 @@ uint64_t CountMatchesImpl(const Pattern& q, const GView& g,
 }
 
 template <GraphView GView>
-std::vector<Match> AllMatchesImpl(const Pattern& q, const GView& g,
-                                  const MatchOptions& options) {
+std::vector<Match> AllMatches(const Pattern& q, const GView& g,
+                              const MatchOptions& options) {
   std::vector<Match> out;
-  EnumerateMatchesImpl(q, g, options, [&](const Match& m) {
+  EnumerateMatches(q, g, options, [&](const Match& m) {
     out.push_back(m);
     return true;
   });
@@ -928,7 +928,7 @@ std::vector<Match> AllMatchesImpl(const Pattern& q, const GView& g,
 // would root at: smallest label-index candidate count, ties to the highest
 // pattern degree, then the lowest id.
 template <GraphView GView>
-VarId MostSelectiveVariableImpl(const Pattern& q, const GView& g) {
+VarId MostSelectiveVariable(const Pattern& q, const GView& g) {
   std::vector<size_t> degree(q.NumVars(), 0);
   for (const Pattern::PEdge& e : q.edges()) {
     ++degree[e.src];
@@ -950,7 +950,7 @@ VarId MostSelectiveVariableImpl(const Pattern& q, const GView& g) {
 }
 
 template <GraphView GView>
-bool IsValidMatchImpl(const Pattern& q, const GView& g, const Match& h) {
+bool IsValidMatch(const Pattern& q, const GView& g, const Match& h) {
   if (h.size() != q.NumVars()) return false;
   for (VarId x = 0; x < q.NumVars(); ++x) {
     if (h[x] >= g.NumNodes()) return false;
@@ -962,115 +962,27 @@ bool IsValidMatchImpl(const Pattern& q, const GView& g, const Match& h) {
   return true;
 }
 
-}  // namespace
+// ----- explicit instantiations: one per read backend ------------------------
 
-// ----- public API: one overload per backend ---------------------------------
+#define GEDLIB_INSTANTIATE_MATCHER(G)                                         \
+  template MatchStats EnumerateMatches(const Pattern&, const G&,              \
+                                       const MatchOptions&,                   \
+                                       const MatchCallback&);                 \
+  template MatchStats EnumerateMatchesTouching(                               \
+      const Pattern&, const G&, const std::vector<NodeId>&,                   \
+      const MatchOptions&, const MatchCallback&);                             \
+  template bool HasMatch(const Pattern&, const G&, const MatchOptions&);      \
+  template uint64_t CountMatches(const Pattern&, const G&,                    \
+                                 const MatchOptions&);                        \
+  template std::vector<Match> AllMatches(const Pattern&, const G&,            \
+                                         const MatchOptions&);                \
+  template bool IsValidMatch(const Pattern&, const G&, const Match&);         \
+  template VarId MostSelectiveVariable(const Pattern&, const G&);
 
-MatchStats EnumerateMatches(const Pattern& q, const Graph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb) {
-  return EnumerateMatchesImpl(q, g, options, cb);
-}
+GEDLIB_INSTANTIATE_MATCHER(Graph)
+GEDLIB_INSTANTIATE_MATCHER(FrozenGraph)
+GEDLIB_INSTANTIATE_MATCHER(OverlayView)
 
-MatchStats EnumerateMatches(const Pattern& q, const FrozenGraph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb) {
-  return EnumerateMatchesImpl(q, g, options, cb);
-}
-
-MatchStats EnumerateMatchesTouching(const Pattern& q, const Graph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb) {
-  return EnumerateMatchesTouchingImpl(q, g, touched, options, cb);
-}
-
-MatchStats EnumerateMatchesTouching(const Pattern& q, const FrozenGraph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb) {
-  return EnumerateMatchesTouchingImpl(q, g, touched, options, cb);
-}
-
-bool HasMatch(const Pattern& q, const Graph& g, const MatchOptions& options) {
-  return HasMatchImpl(q, g, options);
-}
-
-bool HasMatch(const Pattern& q, const FrozenGraph& g,
-              const MatchOptions& options) {
-  return HasMatchImpl(q, g, options);
-}
-
-uint64_t CountMatches(const Pattern& q, const Graph& g,
-                      const MatchOptions& options) {
-  return CountMatchesImpl(q, g, options);
-}
-
-uint64_t CountMatches(const Pattern& q, const FrozenGraph& g,
-                      const MatchOptions& options) {
-  return CountMatchesImpl(q, g, options);
-}
-
-std::vector<Match> AllMatches(const Pattern& q, const Graph& g,
-                              const MatchOptions& options) {
-  return AllMatchesImpl(q, g, options);
-}
-
-std::vector<Match> AllMatches(const Pattern& q, const FrozenGraph& g,
-                              const MatchOptions& options) {
-  return AllMatchesImpl(q, g, options);
-}
-
-bool IsValidMatch(const Pattern& q, const Graph& g, const Match& h) {
-  return IsValidMatchImpl(q, g, h);
-}
-
-bool IsValidMatch(const Pattern& q, const FrozenGraph& g, const Match& h) {
-  return IsValidMatchImpl(q, g, h);
-}
-
-VarId MostSelectiveVariable(const Pattern& q, const Graph& g) {
-  return MostSelectiveVariableImpl(q, g);
-}
-
-VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g) {
-  return MostSelectiveVariableImpl(q, g);
-}
-
-MatchStats EnumerateMatches(const Pattern& q, const OverlayView& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb) {
-  return EnumerateMatchesImpl(q, g, options, cb);
-}
-
-MatchStats EnumerateMatchesTouching(const Pattern& q, const OverlayView& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb) {
-  return EnumerateMatchesTouchingImpl(q, g, touched, options, cb);
-}
-
-bool HasMatch(const Pattern& q, const OverlayView& g,
-              const MatchOptions& options) {
-  return HasMatchImpl(q, g, options);
-}
-
-uint64_t CountMatches(const Pattern& q, const OverlayView& g,
-                      const MatchOptions& options) {
-  return CountMatchesImpl(q, g, options);
-}
-
-std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
-                              const MatchOptions& options) {
-  return AllMatchesImpl(q, g, options);
-}
-
-bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h) {
-  return IsValidMatchImpl(q, g, h);
-}
-
-VarId MostSelectiveVariable(const Pattern& q, const OverlayView& g) {
-  return MostSelectiveVariableImpl(q, g);
-}
+#undef GEDLIB_INSTANTIATE_MATCHER
 
 }  // namespace ged

@@ -20,12 +20,13 @@
 // each of which can be toggled off for the ablation benchmark.
 //
 // The search runs against any GraphView backend (graph/view.h): every entry
-// point is overloaded for the mutable Graph, the immutable FrozenGraph
-// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). All
-// three overloads share one templated implementation, so match sets are
-// identical; against a FrozenGraph or an OverlayView the search additionally
-// exploits label-contiguous adjacency (candidates come pre-sorted and
-// pre-filtered, degree filtering is a binary search).
+// point is one function template over the read backend, explicitly
+// instantiated in matcher.cc for the mutable Graph, the immutable
+// FrozenGraph CSR snapshot and the OverlayView delta overlay
+// (graph/overlay.h). One definition means identical match sets; against a
+// FrozenGraph or an OverlayView the search additionally exploits
+// label-contiguous adjacency (candidates come pre-sorted and pre-filtered,
+// degree filtering is a binary search).
 
 #ifndef GEDLIB_MATCH_MATCHER_H_
 #define GEDLIB_MATCH_MATCHER_H_
@@ -37,6 +38,7 @@
 #include "graph/frozen.h"
 #include "graph/graph.h"
 #include "graph/pattern.h"
+#include "graph/view.h"
 #include "obs/obs.h"
 
 namespace ged {
@@ -118,13 +120,8 @@ struct MatchStats {
 
 /// Enumerates matches of `q` in `g`, calling `cb` for each.
 /// An empty pattern (no variables) yields exactly one empty match.
-MatchStats EnumerateMatches(const Pattern& q, const Graph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb);
-MatchStats EnumerateMatches(const Pattern& q, const FrozenGraph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb);
-MatchStats EnumerateMatches(const Pattern& q, const OverlayView& g,
+template <GraphView G>
+MatchStats EnumerateMatches(const Pattern& q, const G& g,
                             const MatchOptions& options,
                             const MatchCallback& cb);
 
@@ -143,49 +140,31 @@ MatchStats EnumerateMatches(const Pattern& q, const OverlayView& g,
 /// `options.max_matches` caps the *delivered* (deduplicated) matches.
 /// MatchStats aggregates across all pinned runs; `matches` counts delivered
 /// matches only.
-MatchStats EnumerateMatchesTouching(const Pattern& q, const Graph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb);
-MatchStats EnumerateMatchesTouching(const Pattern& q, const FrozenGraph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb);
-MatchStats EnumerateMatchesTouching(const Pattern& q, const OverlayView& g,
+template <GraphView G>
+MatchStats EnumerateMatchesTouching(const Pattern& q, const G& g,
                                     const std::vector<NodeId>& touched,
                                     const MatchOptions& options,
                                     const MatchCallback& cb);
 
 /// True iff at least one match exists.
-bool HasMatch(const Pattern& q, const Graph& g,
-              const MatchOptions& options = {});
-bool HasMatch(const Pattern& q, const FrozenGraph& g,
-              const MatchOptions& options = {});
-bool HasMatch(const Pattern& q, const OverlayView& g,
-              const MatchOptions& options = {});
+template <GraphView G>
+bool HasMatch(const Pattern& q, const G& g, const MatchOptions& options = {});
 
 /// Number of matches (subject to options caps).
-uint64_t CountMatches(const Pattern& q, const Graph& g,
-                      const MatchOptions& options = {});
-uint64_t CountMatches(const Pattern& q, const FrozenGraph& g,
-                      const MatchOptions& options = {});
-uint64_t CountMatches(const Pattern& q, const OverlayView& g,
+template <GraphView G>
+uint64_t CountMatches(const Pattern& q, const G& g,
                       const MatchOptions& options = {});
 
 /// Collects all matches (subject to options caps).
-std::vector<Match> AllMatches(const Pattern& q, const Graph& g,
-                              const MatchOptions& options = {});
-std::vector<Match> AllMatches(const Pattern& q, const FrozenGraph& g,
-                              const MatchOptions& options = {});
-std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
+template <GraphView G>
+std::vector<Match> AllMatches(const Pattern& q, const G& g,
                               const MatchOptions& options = {});
 
 /// Verifies that an explicit assignment is a homomorphic match of `q` in
 /// `g`: every variable bound to an in-range node with L_Q(x) ≼ L(h(x)), and
 /// every pattern edge present with a matching label.
-bool IsValidMatch(const Pattern& q, const Graph& g, const Match& h);
-bool IsValidMatch(const Pattern& q, const FrozenGraph& g, const Match& h);
-bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h);
+template <GraphView G>
+bool IsValidMatch(const Pattern& q, const G& g, const Match& h);
 
 /// The most selective variable of `q` in `g` by the matcher's own ordering
 /// statistics: smallest label-index candidate count, ties to the highest
@@ -194,9 +173,8 @@ bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h);
 /// (per-rule and shared-plan) partition work on, so pins land on the
 /// variable the search itself would pick.
 /// Requires q.NumVars() > 0.
-VarId MostSelectiveVariable(const Pattern& q, const Graph& g);
-VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g);
-VarId MostSelectiveVariable(const Pattern& q, const OverlayView& g);
+template <GraphView G>
+VarId MostSelectiveVariable(const Pattern& q, const G& g);
 
 }  // namespace ged
 

@@ -84,12 +84,10 @@ RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma) {
   return plan;
 }
 
-namespace {
-
-template <typename GView>
-MatchStats ScanBucketT(const GView& g, const PlanBucket& bucket,
-                       const MatchOptions& mopts, uint64_t* checked,
-                       const PlanViolationCallback& on_violation) {
+template <GraphView GView>
+MatchStats ScanBucket(const GView& g, const PlanBucket& bucket,
+                      const MatchOptions& mopts, uint64_t* checked,
+                      const PlanViolationCallback& on_violation) {
   Match rule_match;
   return EnumerateMatches(bucket.pattern, g, mopts, [&](const Match& h) {
     for (const PlanRule& r : bucket.rules) {
@@ -106,24 +104,14 @@ MatchStats ScanBucketT(const GView& g, const PlanBucket& bucket,
   });
 }
 
-}  // namespace
-
-MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation) {
-  return ScanBucketT(g, bucket, mopts, checked, on_violation);
-}
-
-MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation) {
-  return ScanBucketT(g, bucket, mopts, checked, on_violation);
-}
-
-MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation) {
-  return ScanBucketT(g, bucket, mopts, checked, on_violation);
-}
+template MatchStats ScanBucket(const Graph&, const PlanBucket&,
+                               const MatchOptions&, uint64_t*,
+                               const PlanViolationCallback&);
+template MatchStats ScanBucket(const FrozenGraph&, const PlanBucket&,
+                               const MatchOptions&, uint64_t*,
+                               const PlanViolationCallback&);
+template MatchStats ScanBucket(const OverlayView&, const PlanBucket&,
+                               const MatchOptions&, uint64_t*,
+                               const PlanViolationCallback&);
 
 }  // namespace ged

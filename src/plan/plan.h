@@ -29,6 +29,7 @@
 #include "ged/ged.h"
 #include "graph/frozen.h"
 #include "graph/graph.h"
+#include "graph/view.h"
 #include "match/matcher.h"
 
 namespace ged {
@@ -85,15 +86,11 @@ using PlanViolationCallback =
 /// member rule, increments *checked and reports the rule's violations
 /// (h ⊨ X but h ⊭ Y). A bucket scan therefore inspects exactly the
 /// (match, rule) pairs the legacy per-GED path would, so `checked` counts
-/// agree with it. Overloaded per read backend; reports are bit-identical
+/// agree with it. One template over the read backend, instantiated in
+/// plan.cc for Graph, FrozenGraph and OverlayView; reports are bit-identical
 /// between the mutable Graph and a FrozenGraph snapshot of it.
-MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation);
-MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation);
-MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
+template <GraphView G>
+MatchStats ScanBucket(const G& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation);
 

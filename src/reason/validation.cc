@@ -6,8 +6,10 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace ged {
@@ -478,7 +480,7 @@ namespace {
 // alone can exceed the whole enumeration. Freezing kicks in above this
 // |V| + |E| size — below it the snapshot could not plausibly amortize
 // within one call, and callers who freeze once and validate many times hold
-// a FrozenGraph themselves (that overload never re-freezes).
+// a FrozenGraph themselves (a FrozenGraph is never re-frozen).
 constexpr size_t kFreezeSizeCutoff = 4096;
 
 bool ShouldFreeze(const Graph& g, const ValidationOptions& options) {
@@ -503,27 +505,6 @@ RulesetPlan CompileWithObs(const std::vector<Ged>& sigma,
     profiler->AddPlanCompileNs(MonotonicNowNs() - start_ns);
   }
   return plan;
-}
-
-// Dispatch bodies of the public entries, without the run-level "Validate"
-// span — the public overloads chain (Graph → FrozenGraph, Validate →
-// ValidateWithPlan), so the span and run metrics are opened exactly once at
-// the outermost public call and the chain runs through these.
-template <typename GView>
-ValidationReport ValidateWithPlanNoObs(const GView& g, const RulesetPlan& plan,
-                                       const ValidationOptions& options) {
-  if (options.num_threads <= 1) return ValidateSerialPlan(g, plan, options);
-  return ValidateParallelPlan(g, plan, options);
-}
-
-template <typename GView>
-ValidationReport ValidateNoObs(const GView& g, const std::vector<Ged>& sigma,
-                               const ValidationOptions& options) {
-  if (options.policy.plan == PlanMode::kCompiled) {
-    return ValidateWithPlanNoObs(g, CompileWithObs(sigma, options), options);
-  }
-  if (options.num_threads <= 1) return ValidateSerialLegacy(g, sigma, options);
-  return ValidateParallelLegacy(g, sigma, options);
 }
 
 // Run-level observability of one public Validate / ValidateWithPlan call:
@@ -560,71 +541,61 @@ class ValidateObsScope {
   ScopedLatency lat_;
 };
 
+// The one scan dispatch: scans `plan` when given, otherwise compiles Σ
+// when policy.plan asks for the shared plan and scans per GED when not;
+// serially or across the worker pool by options.num_threads.
+template <typename GView>
+ValidationReport ScanAll(const GView& g, const std::vector<Ged>* sigma,
+                         const RulesetPlan* plan,
+                         const ValidationOptions& options) {
+  std::optional<RulesetPlan> compiled;
+  if (plan == nullptr && options.policy.plan == PlanMode::kCompiled) {
+    plan = &compiled.emplace(CompileWithObs(*sigma, options));
+  }
+  bool serial = options.num_threads <= 1;
+  if (plan != nullptr) {
+    return serial ? ValidateSerialPlan(g, *plan, options)
+                  : ValidateParallelPlan(g, *plan, options);
+  }
+  return serial ? ValidateSerialLegacy(g, *sigma, options)
+                : ValidateParallelLegacy(g, *sigma, options);
+}
+
+// The shared body of Validate and ValidateWithPlan: the run-level "Validate"
+// span and metrics, opened exactly once per public call, around the scan
+// dispatch. Only a mutable Graph is a freeze candidate; a FrozenGraph is
+// already CSR and an OverlayView's base is, so they are scanned directly.
+template <typename GView>
+ValidationReport ValidateBody(const GView& g, const std::vector<Ged>* sigma,
+                              const RulesetPlan* plan,
+                              const ValidationOptions& options) {
+  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
+  ValidationReport report = [&] {
+    if constexpr (std::is_same_v<GView, Graph>) {
+      if (ShouldFreeze(g, options)) {
+        // Freeze once; serial and parallel workers all scan the CSR arrays.
+        return ScanAll(FrozenGraph::Freeze(g, options.obs), sigma, plan,
+                       options);
+      }
+    }
+    return ScanAll(g, sigma, plan, options);
+  }();
+  scope.Observe(report);
+  return report;
+}
+
 }  // namespace
 
-ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
+template <GraphView G>
+ValidationReport Validate(const G& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
-    // Freeze once; serial and parallel workers all scan the CSR arrays.
-    FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateNoObs(frozen, sigma, options);
-  } else {
-    report = ValidateNoObs(g, sigma, options);
-  }
-  scope.Observe(report);
-  return report;
+  return ValidateBody(g, &sigma, nullptr, options);
 }
 
-ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
-                          const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateNoObs(g, sigma, options);
-  scope.Observe(report);
-  return report;
-}
-
-ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
+template <GraphView G>
+ValidationReport ValidateWithPlan(const G& g, const RulesetPlan& plan,
                                   const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
-    FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateWithPlanNoObs(frozen, plan, options);
-  } else {
-    report = ValidateWithPlanNoObs(g, plan, options);
-  }
-  scope.Observe(report);
-  return report;
-}
-
-ValidationReport ValidateWithPlan(const FrozenGraph& g,
-                                  const RulesetPlan& plan,
-                                  const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateWithPlanNoObs(g, plan, options);
-  scope.Observe(report);
-  return report;
-}
-
-// Overlay overloads: the base is already CSR, so there is no ShouldFreeze
-// question — scan the overlay directly.
-ValidationReport Validate(const OverlayView& g, const std::vector<Ged>& sigma,
-                          const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateNoObs(g, sigma, options);
-  scope.Observe(report);
-  return report;
-}
-
-ValidationReport ValidateWithPlan(const OverlayView& g,
-                                  const RulesetPlan& plan,
-                                  const ValidationOptions& options) {
-  ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report = ValidateWithPlanNoObs(g, plan, options);
-  scope.Observe(report);
-  return report;
+  return ValidateBody(g, nullptr, &plan, options);
 }
 
 void SortViolationList(std::vector<Violation>* violations) {
@@ -758,5 +729,17 @@ std::vector<Violation> FindViolationsSeededByEdges(
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
+
+#define GEDLIB_INSTANTIATE_VALIDATE(G)                                      \
+  template ValidationReport Validate(const G&, const std::vector<Ged>&,    \
+                                     const ValidationOptions&);            \
+  template ValidationReport ValidateWithPlan(const G&, const RulesetPlan&, \
+                                             const ValidationOptions&);
+
+GEDLIB_INSTANTIATE_VALIDATE(Graph)
+GEDLIB_INSTANTIATE_VALIDATE(FrozenGraph)
+GEDLIB_INSTANTIATE_VALIDATE(OverlayView)
+
+#undef GEDLIB_INSTANTIATE_VALIDATE
 
 }  // namespace ged

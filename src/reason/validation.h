@@ -36,6 +36,7 @@
 
 #include "ged/ged.h"
 #include "graph/graph.h"
+#include "graph/view.h"
 #include "match/matcher.h"
 #include "plan/plan.h"
 #include "reason/policy.h"
@@ -134,32 +135,23 @@ struct ValidationReport {
   std::vector<size_t> aborted_geds;
 };
 
-/// Checks G ⊨ Σ, reporting violations. Under policy.snapshot = kAuto (the
-/// default) the graph is frozen once above the amortization cutoff and
-/// scanned through the CSR snapshot.
-ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
-                          const ValidationOptions& options = {});
-/// Checks a pre-frozen snapshot (the serving path: freeze once, validate
-/// many times — policy.snapshot is moot here).
-ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
+/// Checks G ⊨ Σ, reporting violations. One template over the read backend
+/// (graph/view.h), instantiated in validation.cc for Graph, FrozenGraph and
+/// OverlayView. Only a mutable Graph is ever frozen: under policy.snapshot =
+/// kAuto (the default) it is frozen once above the amortization cutoff and
+/// scanned through the CSR snapshot. A FrozenGraph (the serving path: freeze
+/// once, validate many times) and an OverlayView (whose base is already CSR)
+/// are scanned directly, so policy.snapshot is moot for them.
+template <GraphView G>
+ValidationReport Validate(const G& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 
 /// Validate() against a pre-compiled plan of the same Σ (amortizes
 /// compilation across repeated validations; incr/ holds one per validator).
-/// policy.plan is ignored — the plan is always used.
-ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
-                                  const ValidationOptions& options = {});
-/// Pre-frozen + pre-compiled: the fully amortized serving configuration.
-ValidationReport ValidateWithPlan(const FrozenGraph& g,
-                                  const RulesetPlan& plan,
-                                  const ValidationOptions& options = {});
-
-/// Overlay overloads: scan a delta overlay (graph/overlay.h) directly — the
-/// base is already CSR, so policy.snapshot is moot (never re-frozen here).
-ValidationReport Validate(const OverlayView& g, const std::vector<Ged>& sigma,
-                          const ValidationOptions& options = {});
-ValidationReport ValidateWithPlan(const OverlayView& g,
-                                  const RulesetPlan& plan,
+/// policy.plan is ignored — the plan is always used. Over a FrozenGraph this
+/// is the fully amortized serving configuration.
+template <GraphView G>
+ValidationReport ValidateWithPlan(const G& g, const RulesetPlan& plan,
                                   const ValidationOptions& options = {});
 
 // ----- incremental building blocks (src/incr/ sits on these) ---------------

@@ -1,62 +1,78 @@
 // Unit tests for the homomorphism / isomorphism matcher, including the
 // paper's §3 argument that isomorphism is too strict for GKeys.
 //
-// Every case runs against both read backends — the mutable Graph and its
-// FrozenGraph CSR snapshot — through the parametrized fixture below: the
-// matcher must deliver identical results no matter which one serves reads.
+// Every case runs against all three read backends — the mutable Graph, its
+// FrozenGraph CSR snapshot, and an OverlayView over that snapshot with an
+// empty side index — through the parametrized fixture below: the matcher
+// must deliver identical results no matter which one serves reads.
+// Overlays with a non-empty side index are covered by overlay_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <random>
 
 #include "graph/frozen.h"
 #include "graph/graph.h"
+#include "graph/overlay.h"
 #include "graph/pattern.h"
 #include "match/matcher.h"
 
 namespace ged {
 namespace {
 
-enum class Backend { kMutable, kFrozen };
+enum class Backend { kMutable, kFrozen, kOverlay };
 
 class MatcherTest : public ::testing::TestWithParam<Backend> {
  protected:
-  bool frozen() const { return GetParam() == Backend::kFrozen; }
+  // Calls `f` with `g` served by the backend under test.
+  template <typename F>
+  auto OnBackend(const Graph& g, F f) const {
+    if (GetParam() == Backend::kMutable) return f(g);
+    auto frozen = std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g));
+    if (GetParam() == Backend::kFrozen) return f(*frozen);
+    return f(OverlayView(frozen, /*epoch=*/0));
+  }
 
   uint64_t Count(const Pattern& q, const Graph& g,
                  const MatchOptions& opts = {}) const {
-    return frozen() ? CountMatches(q, FrozenGraph::Freeze(g), opts)
-                    : CountMatches(q, g, opts);
+    return OnBackend(
+        g, [&](const auto& view) { return CountMatches(q, view, opts); });
   }
 
   std::vector<Match> All(const Pattern& q, const Graph& g,
                          const MatchOptions& opts = {}) const {
-    return frozen() ? AllMatches(q, FrozenGraph::Freeze(g), opts)
-                    : AllMatches(q, g, opts);
+    return OnBackend(
+        g, [&](const auto& view) { return AllMatches(q, view, opts); });
   }
 
   MatchStats Enumerate(const Pattern& q, const Graph& g,
                        const MatchOptions& opts,
                        const MatchCallback& cb) const {
-    return frozen() ? EnumerateMatches(q, FrozenGraph::Freeze(g), opts, cb)
-                    : EnumerateMatches(q, g, opts, cb);
+    return OnBackend(g, [&](const auto& view) {
+      return EnumerateMatches(q, view, opts, cb);
+    });
   }
 
   bool Valid(const Pattern& q, const Graph& g, const Match& h) const {
-    return frozen() ? IsValidMatch(q, FrozenGraph::Freeze(g), h)
-                    : IsValidMatch(q, g, h);
+    return OnBackend(
+        g, [&](const auto& view) { return IsValidMatch(q, view, h); });
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatcherTest,
                          ::testing::Values(Backend::kMutable,
-                                           Backend::kFrozen),
+                                           Backend::kFrozen,
+                                           Backend::kOverlay),
                          [](const auto& info) {
-                           return info.param == Backend::kMutable
-                                      ? "MutableGraph"
-                                      : "FrozenGraph";
+                           switch (info.param) {
+                             case Backend::kMutable: return "MutableGraph";
+                             case Backend::kFrozen: return "FrozenGraph";
+                             case Backend::kOverlay: return "OverlayView";
+                           }
+                           return "Unknown";
                          });
 
 Graph PathGraph(int n, const char* label, const char* edge) {
