@@ -7,9 +7,11 @@
 //  * pattern-size sweep at fixed |G| — exponential growth in k;
 //  * the Theorem 6 hardness core: hom(H → K3) via a forbidding GED;
 //  * serial vs parallel validation (the paper's future-work item);
-//  * shared-plan (plan/) vs legacy per-GED evaluation on multi-rule Σ —
-//    the ruleset-compiler speedup: one enumeration per pattern *shape*
-//    instead of one per rule;
+//  * shared-plan (plan/) vs per-rule plan (policy.plan = kPerRule: one
+//    bucket per GED, same scan engine) on multi-rule Σ — the
+//    ruleset-compiler speedup: one enumeration per pattern *shape* instead
+//    of one per rule. The per-rule series keep their `legacy` names, which
+//    key the recorded rows in bench/baselines/;
 //  * frozen CSR snapshot (graph/frozen.h) vs mutable-graph matching on the
 //    full-validate path, plus the freeze cost itself and the pre-frozen
 //    serving regime.
@@ -149,13 +151,13 @@ void BM_Validation_Semantics(benchmark::State& state, MatchSemantics sem) {
   state.counters["violations"] = static_cast<double>(violations);
 }
 
-// ----- shared-plan ruleset compiler vs legacy per-GED evaluation ------------
+// ----- shared-plan ruleset compiler vs per-rule plan -------------------------
 
 // A multi-rule Σ over few pattern shapes, the workload the ruleset compiler
 // targets: `rules_per_shape` rules on each of 3 shapes (edge, 3-path, fork),
 // differing only in their X → Y literals and variable order. Every shape
 // compiles into one bucket, so the compiled path enumerates 3 match spaces
-// where the legacy path enumerates 3 * rules_per_shape.
+// where the per-rule plan enumerates 3 * rules_per_shape.
 std::vector<Ged> SharedShapeSigma(size_t rules_per_shape) {
   std::vector<Ged> sigma;
   auto lit = [](VarId x, size_t a, VarId y, size_t b) {
@@ -227,10 +229,11 @@ void BM_Validation_SharedPlan(benchmark::State& state, bool compiled) {
   state.counters["violations"] = static_cast<double>(violations);
 }
 
-// Scenario rulesets through both paths (Example1Geds has 4 distinct shapes,
-// MusicKeys 2 — the realistic sharing regime). Mode 0 = legacy, 1 = compiled
-// per call (compilation cost included), 2 = pre-compiled plan (the amortized
-// regime of IncrementalValidator, which compiles Σ once per validator).
+// Scenario rulesets through both plans (Example1Geds has 4 distinct shapes,
+// MusicKeys 2 — the realistic sharing regime). Mode 0 = per-rule plan (the
+// `legacy` series), 1 = compiled per call (compilation cost included),
+// 2 = pre-compiled plan (the amortized regime of IncrementalValidator, which
+// compiles Σ once per validator).
 void BM_Validation_ScenarioPlanVsLegacy(benchmark::State& state, int mode) {
   KbParams params;
   params.num_products = 200;

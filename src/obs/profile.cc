@@ -125,7 +125,7 @@ void ProfileCollector::AddRuleCounts(size_t ged_index, uint64_t checked,
       return;
     }
   }
-  // Undeclared rule (legacy path without plan metadata): record it anyway.
+  // Undeclared rule (a caller without plan metadata): record it anyway.
   ProfileReport::Rule r;
   r.ged_index = ged_index;
   r.name = "ged[" + std::to_string(ged_index) + "]";

@@ -79,8 +79,9 @@ std::string MatchProfileToJson(const MatchProfile& prof);
 
 /// The finished EXPLAIN output of one Validate / Commit run.
 struct ProfileReport {
-  /// One shared enumeration (a plan bucket, or a single GED on the legacy
-  /// path). Depth rollups live here because member rules share the search.
+  /// One shared enumeration (a plan bucket; under plan = kPerRule, one GED
+  /// with its index as id). Depth rollups live here because member rules
+  /// share the search.
   struct Bucket {
     size_t id = 0;
     std::string pattern;     ///< human-readable pattern shape

@@ -15,8 +15,9 @@
 // partitioning tools of the matcher apply unchanged, since the bucket
 // pattern *is* a pattern) and reports each rule's violations with the match
 // permuted back into the rule's own variable order, so reports are
-// bit-identical to the per-GED legacy path. Parallel drivers partition a
-// bucket's work on the matcher's own root variable
+// bit-identical to a plan of one bucket per GED (policy.plan = kPerRule,
+// which validation.cc runs through the same ScanBucket). Parallel drivers
+// partition a bucket's work on the matcher's own root variable
 // (match/MostSelectiveVariable).
 
 #ifndef GEDLIB_PLAN_PLAN_H_
@@ -85,8 +86,8 @@ using PlanViolationCallback =
 /// Enumerates `bucket.pattern` once under `mopts`; for every match and every
 /// member rule, increments *checked and reports the rule's violations
 /// (h ⊨ X but h ⊭ Y). A bucket scan therefore inspects exactly the
-/// (match, rule) pairs the legacy per-GED path would, so `checked` counts
-/// agree with it. One template over the read backend, instantiated in
+/// (match, rule) pairs that one scan per member rule would, so `checked`
+/// counts agree between the compiled and per-rule plans. One template over the read backend, instantiated in
 /// plan.cc for Graph, FrozenGraph and OverlayView; reports are bit-identical
 /// between the mutable Graph and a FrozenGraph snapshot of it.
 template <GraphView G>

@@ -25,7 +25,7 @@ enum class JoinStrategy : uint8_t {
 /// How a ruleset Σ is evaluated.
 enum class PlanMode : uint8_t {
   kCompiled = 0,  ///< shared ruleset plan, one walk per pattern shape
-  kPerRule,       ///< legacy per-GED enumeration (differential/ablation)
+  kPerRule,       ///< one bucket per GED, no sharing (differential/ablation)
 };
 
 /// Whether full validation compiles a mutable graph into a FrozenGraph CSR

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -25,7 +27,7 @@ MatchOptions BaseMatchOptions(const ValidationOptions& vopts) {
   return mopts;
 }
 
-// Per-worker accumulator threaded through every scan flavor: the violation
+// Per-worker accumulator threaded through every scan task: the violation
 // buffer, the (match, rule) counter, and the GED indices whose scan hit the
 // per-scan step budget.
 struct WorkerState {
@@ -40,25 +42,21 @@ std::string PatternDesc(const Pattern& q) {
          ",edges=" + std::to_string(q.edges().size());
 }
 
-// Per-scan-task observability, shared by every scan flavor: opens the
-// "Match" trace span, wires the profiler's MatchProfile sink into the
-// MatchOptions (one profile per task — pinned sub-runs accumulate into it),
-// and on Finish() hands profile + wall time to the collector / metrics.
+// Observability of one bucket scan task: opens the "Match" trace span,
+// wires the profiler's MatchProfile sink into the MatchOptions (one profile
+// per task — pinned sub-runs accumulate into it), and on Finish() hands
+// profile + wall time to the collector / metrics.
 // All clock reads are skipped when nothing listens.
 class ScanObs {
  public:
-  ScanObs(const ValidationOptions& vopts, const char* kind, size_t bucket_id,
-          MatchOptions* mopts)
+  ScanObs(const ValidationOptions& vopts, size_t bucket_id, MatchOptions* mopts)
       : profiler_(vopts.obs.Profiler()),
         metrics_(vopts.obs.Metrics()),
         recorder_(vopts.obs.Recorder()),
         logger_(vopts.obs.Log()),
-        kind_(kind),
         bucket_id_(bucket_id),
         span_(vopts.obs.Trace(), "Match",
-              vopts.obs.Trace() == nullptr
-                  ? std::string{}
-                  : std::string(kind) + "=" + std::to_string(bucket_id)) {
+              vopts.obs.Trace() == nullptr ? std::string{} : Arg()) {
     // The flight recorder needs the profile too — it is the evidence a
     // slow-scan capture serializes.
     if (profiler_ != nullptr || recorder_ != nullptr) mopts->profile = &prof_;
@@ -80,7 +78,7 @@ class ScanObs {
     if (profiler_ != nullptr) profiler_->AddScan(bucket_id_, prof_, wall);
     if (recorder_ != nullptr &&
         recorder_->ShouldCapture(FlightRecorder::Kind::kScan, wall)) {
-      std::string arg = std::string(kind_) + "=" + std::to_string(bucket_id_);
+      std::string arg = Arg();
       recorder_->Record(FlightRecorder::Kind::kScan, arg, wall,
                         MatchProfileToJson(prof_));
       if (logger_ != nullptr) {
@@ -94,11 +92,12 @@ class ScanObs {
   }
 
  private:
+  std::string Arg() const { return "bucket=" + std::to_string(bucket_id_); }
+
   ProfileCollector* profiler_;
   MetricsRegistry* metrics_;
   FlightRecorder* recorder_;
   StructuredLogger* logger_;
-  const char* kind_;
   size_t bucket_id_;
   ScopedSpan span_;
   MatchProfile prof_;
@@ -124,96 +123,21 @@ void FinalizeReport(ValidationReport* report,
   if (profiler != nullptr) profiler->AddEmitNs(MonotonicNowNs() - start_ns);
 }
 
-// Converts an accumulated WorkerState into the final sorted report.
-ValidationReport ReportFromWorker(WorkerState ws,
-                                  const ValidationOptions& options) {
-  ValidationReport report;
-  report.violations = std::move(ws.violations);
-  report.matches_checked = ws.checked;
-  report.aborted_geds = std::move(ws.aborted);
-  FinalizeReport(&report, options);
-  return report;
-}
+// ----- the bucket scan task -------------------------------------------------
 
-// ----- legacy per-GED scans (plan = kPerRule) -------------------------------
-
-// One scan task of one GED: an unpinned full run when `pins` is empty,
-// otherwise one pinned run per pin (all under one scan-task profile/span).
-// The profiler keys the legacy path by ged_index — one GED = one "bucket".
+// One scan task of one bucket: ScanBucket under `mopts`, which the caller
+// prepares (restrictions, exclusions, step budget). One unpinned run when
+// `pins` is empty, otherwise one run per pin binding `pin_var`; all runs
+// share one scan-task profile and span. Afterwards a step-budget abort
+// taints every member rule, and the profiler gets per-rule checked counts
+// (= enumerated matches — every match checks every member rule) plus the
+// violations this task appended.
 template <typename GView>
-void ScanGed(const GView& g, const Ged& phi, size_t ged_index,
-             const ValidationOptions& vopts, VarId pin_var,
-             const std::vector<NodeId>& pins, WorkerState* ws) {
-  MatchOptions mopts = BaseMatchOptions(vopts);
-  ScanObs obs(vopts, "ged", ged_index, &mopts);
-  size_t viol_start = ws->violations.size();
-  MatchStats stats;
-  auto cb = [&](const Match& h) {
-    ++ws->checked;
-    if (!SatisfiesAll(g, h, phi.X())) return true;
-    bool y_ok = !phi.is_forbidding() && SatisfiesAll(g, h, phi.Y());
-    if (!y_ok) ws->violations.push_back(Violation{ged_index, h});
-    return true;
-  };
-  auto run = [&]() {
-    MatchStats s = EnumerateMatches(phi.pattern(), g, mopts, cb);
-    stats.matches += s.matches;
-    stats.steps += s.steps;
-    stats.aborted |= s.aborted;
-  };
-  if (pins.empty()) {
-    run();
-  } else {
-    mopts.pinned.resize(1);
-    for (NodeId pin : pins) {
-      mopts.pinned[0] = {pin_var, pin};
-      run();
-    }
-  }
-  if (stats.aborted) ws->aborted.push_back(ged_index);
-  if (ProfileCollector* profiler = obs.profiler()) {
-    profiler->DeclareBucket(ged_index, PatternDesc(phi.pattern()));
-    profiler->DeclareRule(ged_index, phi.name(), ged_index);
-    profiler->AddRuleCounts(ged_index, stats.matches,
-                            ws->violations.size() - viol_start,
-                            stats.aborted);
-  }
-  obs.Finish();
-}
-
-// ----- compiled bucket scans (plan/ScanBucket wrappers) ---------------------
-
-// Post-scan accounting shared by the bucket scan flavors: a step-budget
-// abort taints every member rule, and the profiler gets per-rule checked
-// counts (= enumerated matches — every match checks every member rule) plus
-// the violations this scan appended at [viol_start..).
-void AccountBucketScan(const PlanBucket& bucket, size_t bucket_id,
-                       const MatchStats& stats, WorkerState* ws,
-                       size_t viol_start, ProfileCollector* profiler) {
-  if (stats.aborted) {
-    for (const PlanRule& r : bucket.rules) ws->aborted.push_back(r.ged_index);
-  }
-  if (profiler == nullptr) return;
-  profiler->DeclareBucket(bucket_id, PatternDesc(bucket.pattern));
-  for (const PlanRule& r : bucket.rules) {
-    profiler->DeclareRule(r.ged_index, r.name, bucket_id);
-    uint64_t viols = 0;
-    for (size_t i = viol_start; i < ws->violations.size(); ++i) {
-      if (ws->violations[i].ged_index == r.ged_index) ++viols;
-    }
-    profiler->AddRuleCounts(r.ged_index, stats.matches, viols, stats.aborted);
-  }
-}
-
-// One scan task of one bucket: an unpinned full run when `pins` is empty,
-// otherwise one pinned run per pin (all under one scan-task profile/span).
-template <typename GView>
-void ScanBucketInto(const GView& g, const PlanBucket& bucket,
-                    size_t bucket_id, const ValidationOptions& vopts,
-                    VarId pin_var, const std::vector<NodeId>& pins,
-                    WorkerState* ws) {
-  MatchOptions mopts = BaseMatchOptions(vopts);
-  ScanObs obs(vopts, "bucket", bucket_id, &mopts);
+void ScanBucketTask(const GView& g, const PlanBucket& bucket, size_t bucket_id,
+                    const ValidationOptions& vopts, MatchOptions mopts,
+                    WorkerState* ws, VarId pin_var = 0,
+                    std::span<const NodeId> pins = {}) {
+  ScanObs obs(vopts, bucket_id, &mopts);
   size_t viol_start = ws->violations.size();
   auto on_violation = [&](size_t ged_index, const Match& rule_match) {
     ws->violations.push_back(Violation{ged_index, rule_match});
@@ -235,82 +159,70 @@ void ScanBucketInto(const GView& g, const PlanBucket& bucket,
       run();
     }
   }
-  AccountBucketScan(bucket, bucket_id, stats, ws, viol_start,
-                    obs.profiler());
-  obs.Finish();
-}
-
-// One touching run of one bucket: variable x restricted to the
-// label-compatible nodes of `pins` (one batched search), and matches where
-// an earlier variable binds a touched node suppressed in-search — the
-// canonical-run dedup of EnumerateMatchesTouching, each match owned by the
-// run of its smallest touched variable. Every member rule is checked per
-// match.
-void ScanBucketTouching(const OverlayView& g, const PlanBucket& bucket,
-                        size_t bucket_id, const ValidationOptions& vopts,
-                        VarId x, const std::vector<NodeId>& pins,
-                        const std::vector<NodeId>& touched, WorkerState* ws) {
-  std::vector<NodeId> allowed;
-  for (NodeId pin : pins) {
-    if (LabelMatches(bucket.pattern.label(x), g.label(pin))) {
-      allowed.push_back(pin);
+  if (stats.aborted) {
+    for (const PlanRule& r : bucket.rules) ws->aborted.push_back(r.ged_index);
+  }
+  if (ProfileCollector* profiler = obs.profiler()) {
+    profiler->DeclareBucket(bucket_id, PatternDesc(bucket.pattern));
+    for (const PlanRule& r : bucket.rules) {
+      profiler->DeclareRule(r.ged_index, r.name, bucket_id);
+      uint64_t viols = 0;
+      for (size_t i = viol_start; i < ws->violations.size(); ++i) {
+        if (ws->violations[i].ged_index == r.ged_index) ++viols;
+      }
+      profiler->AddRuleCounts(r.ged_index, stats.matches, viols,
+                              stats.aborted);
     }
   }
-  if (allowed.empty()) return;
-  MatchOptions mopts = BaseMatchOptions(vopts);
-  mopts.restricted.emplace_back(x, std::move(allowed));
-  mopts.exclude_before_var = x;
-  mopts.exclude_nodes = &touched;
-  ScanObs obs(vopts, "bucket", bucket_id, &mopts);
-  size_t viol_start = ws->violations.size();
-  MatchStats stats =
-      ScanBucket(g, bucket, mopts, &ws->checked,
-                 [&](size_t ged_index, const Match& rule_match) {
-                   ws->violations.push_back(Violation{ged_index, rule_match});
-                   return true;
-                 });
-  AccountBucketScan(bucket, bucket_id, stats, ws, viol_start,
-                    obs.profiler());
   obs.Finish();
 }
 
-// ----- parallel driver ------------------------------------------------------
+// ----- scan drivers ---------------------------------------------------------
 
-// Drains `num_items` indexed work items across options.num_threads workers.
-// Each worker accumulates into a local WorkerState merged under one mutex.
-// `scan(item, ws)` performs one item's scan. Deterministic: items partition
-// the match space exactly, and the merged report is sorted (and
-// cap-truncated to the smallest) afterwards.
+// Drains `num_items` indexed work items and returns the merged, finalized
+// report; `scan(item, ws)` performs one item's scan. One worker drains every
+// item inline when options.num_threads <= 1 or a single item exists;
+// otherwise min(num_threads, num_items) threads each accumulate into a local
+// WorkerState merged under one mutex. The only place in this file that
+// starts a thread. Deterministic: items partition the match space exactly,
+// and the merged report is sorted (and cap-truncated to the smallest)
+// afterwards.
 ValidationReport RunParallelScan(
     size_t num_items, const ValidationOptions& options,
     const std::function<void(size_t, WorkerState*)>& scan) {
   std::atomic<size_t> next{0};
-  std::mutex mu;
-  WorkerState merged;
-
-  auto worker = [&]() {
-    WorkerState local;
-    while (true) {
-      size_t k = next.fetch_add(1);
-      if (k >= num_items) break;
-      scan(k, &local);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    merged.violations.insert(merged.violations.end(),
-                             std::make_move_iterator(local.violations.begin()),
-                             std::make_move_iterator(local.violations.end()));
-    merged.checked += local.checked;
-    merged.aborted.insert(merged.aborted.end(), local.aborted.begin(),
-                          local.aborted.end());
+  auto drain = [&](WorkerState* ws) {
+    for (size_t k = next++; k < num_items; k = next++) scan(k, ws);
   };
-
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < options.num_threads; ++t) {
-    threads.emplace_back(worker);
+  WorkerState merged;
+  size_t workers = std::min<size_t>(options.num_threads, num_items);
+  if (workers <= 1) {
+    drain(&merged);
+  } else {
+    std::mutex mu;
+    auto worker = [&]() {
+      WorkerState local;
+      drain(&local);
+      std::lock_guard<std::mutex> lock(mu);
+      merged.violations.insert(
+          merged.violations.end(),
+          std::make_move_iterator(local.violations.begin()),
+          std::make_move_iterator(local.violations.end()));
+      merged.checked += local.checked;
+      merged.aborted.insert(merged.aborted.end(), local.aborted.begin(),
+                            local.aborted.end());
+    };
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < workers; ++t) threads.emplace_back(worker);
+    for (auto& t : threads) t.join();
   }
-  for (auto& t : threads) t.join();
 
-  return ReportFromWorker(std::move(merged), options);
+  ValidationReport report;
+  report.violations = std::move(merged.violations);
+  report.matches_checked = merged.checked;
+  report.aborted_geds = std::move(merged.aborted);
+  FinalizeReport(&report, options);
+  return report;
 }
 
 // Candidate nodes for pinning variable `pin` of `q` in `g`.
@@ -327,111 +239,44 @@ std::vector<NodeId> PinCandidates(const Pattern& q, VarId pin,
   return candidates;
 }
 
-// ----- legacy Validate ------------------------------------------------------
-
+// Full scan of every bucket of `plan`. Serial: one unpinned item per bucket.
+// Parallel: (bucket, chunk of candidates for the bucket's most selective
+// variable) items; pinning one variable partitions the bucket's match space
+// exactly, so any item partition is race-free and deterministic.
 template <typename GView>
-ValidationReport ValidateSerialLegacy(const GView& g,
-                                      const std::vector<Ged>& sigma,
-                                      const ValidationOptions& options) {
-  WorkerState ws;
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    ScanGed(g, sigma[i], i, options, 0, {}, &ws);
-  }
-  return ReportFromWorker(std::move(ws), options);
-}
-
-template <typename GView>
-ValidationReport ValidateParallelLegacy(const GView& g,
-                                        const std::vector<Ged>& sigma,
-                                        const ValidationOptions& options) {
-  // Work items: (ged, chunk of candidate nodes for the most selective
-  // variable — the matcher's own root statistic, shared with the compiled
-  // path). Pinning one variable partitions the match space exactly;
-  // chunking keeps the per-item matcher setup amortized.
+ValidationReport ScanPlan(const GView& g, const RulesetPlan& plan,
+                          const ValidationOptions& options) {
   struct WorkItem {
-    size_t ged_index;
+    size_t bucket_id;
     VarId pin_var;
-    std::vector<NodeId> pins;  // empty = single run without pinning
+    std::span<const NodeId> pins;  // empty = single run without pinning
   };
+  bool serial = options.num_threads <= 1;
+  std::vector<std::vector<NodeId>> candidates(plan.buckets.size());
   std::vector<WorkItem> items;
-  size_t chunks_per_ged = std::max<size_t>(1, 8 * options.num_threads);
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const Pattern& q = sigma[i].pattern();
-    if (q.NumVars() == 0) {
-      items.push_back(WorkItem{i, 0, {}});  // single empty match
+  size_t chunks_per_bucket = 8 * size_t{options.num_threads};
+  for (size_t b = 0; b < plan.buckets.size(); ++b) {
+    const Pattern& q = plan.buckets[b].pattern;
+    if (serial || q.NumVars() == 0) {
+      items.push_back(WorkItem{b, 0, {}});  // whole bucket, or its one match
       continue;
     }
     VarId pin_var = MostSelectiveVariable(q, g);
-    std::vector<NodeId> candidates = PinCandidates(q, pin_var, g);
-    size_t chunk = std::max<size_t>(1, candidates.size() / chunks_per_ged);
-    for (size_t begin = 0; begin < candidates.size(); begin += chunk) {
-      size_t end = std::min(candidates.size(), begin + chunk);
-      items.push_back(
-          WorkItem{i, pin_var,
-                   std::vector<NodeId>(candidates.begin() + begin,
-                                       candidates.begin() + end)});
+    candidates[b] = PinCandidates(q, pin_var, g);
+    std::span<const NodeId> all = candidates[b];
+    size_t chunk = std::max<size_t>(1, all.size() / chunks_per_bucket);
+    for (size_t begin = 0; begin < all.size(); begin += chunk) {
+      items.push_back(WorkItem{
+          b, pin_var, all.subspan(begin, std::min(chunk, all.size() - begin))});
     }
   }
-
-  return RunParallelScan(items.size(), options,
-                         [&](size_t k, WorkerState* ws) {
-                           const WorkItem& item = items[k];
-                           ScanGed(g, sigma[item.ged_index], item.ged_index,
-                                   options, item.pin_var, item.pins, ws);
-                         });
-}
-
-// ----- compiled Validate ----------------------------------------------------
-
-template <typename GView>
-ValidationReport ValidateSerialPlan(const GView& g, const RulesetPlan& plan,
-                                    const ValidationOptions& options) {
-  WorkerState ws;
-  for (size_t b = 0; b < plan.buckets.size(); ++b) {
-    ScanBucketInto(g, plan.buckets[b], b, options, 0, {}, &ws);
-  }
-  return ReportFromWorker(std::move(ws), options);
-}
-
-template <typename GView>
-ValidationReport ValidateParallelPlan(const GView& g, const RulesetPlan& plan,
-                                      const ValidationOptions& options) {
-  // Work items: (bucket, chunk of candidates for the bucket's most selective
-  // variable). Pinning one variable partitions the bucket's match space
-  // exactly, so any item partition is race-free and deterministic.
-  struct WorkItem {
-    const PlanBucket* bucket;
-    size_t bucket_id;
-    VarId pin_var;
-    std::vector<NodeId> pins;  // empty = single run without pinning
-  };
-  std::vector<WorkItem> items;
-  size_t chunks_per_bucket = std::max<size_t>(1, 8 * options.num_threads);
-  for (size_t b = 0; b < plan.buckets.size(); ++b) {
-    const PlanBucket& bucket = plan.buckets[b];
-    if (bucket.pattern.NumVars() == 0) {
-      items.push_back(WorkItem{&bucket, b, 0, {}});  // single empty match
-      continue;
-    }
-    VarId pin_var = MostSelectiveVariable(bucket.pattern, g);
-    std::vector<NodeId> candidates = PinCandidates(bucket.pattern, pin_var, g);
-    size_t chunk = std::max<size_t>(1, candidates.size() / chunks_per_bucket);
-    for (size_t begin = 0; begin < candidates.size(); begin += chunk) {
-      size_t end = std::min(candidates.size(), begin + chunk);
-      items.push_back(
-          WorkItem{&bucket, b, pin_var,
-                   std::vector<NodeId>(candidates.begin() + begin,
-                                       candidates.begin() + end)});
-    }
-  }
-
-  return RunParallelScan(items.size(), options,
-                         [&](size_t k, WorkerState* ws) {
-                           const WorkItem& item = items[k];
-                           ScanBucketInto(g, *item.bucket, item.bucket_id,
-                                          options, item.pin_var, item.pins,
-                                          ws);
-                         });
+  return RunParallelScan(
+      items.size(), options, [&](size_t k, WorkerState* ws) {
+        const WorkItem& item = items[k];
+        ScanBucketTask(g, plan.buckets[item.bucket_id], item.bucket_id,
+                       options, BaseMatchOptions(options), ws, item.pin_var,
+                       item.pins);
+      });
 }
 
 // ----- seeded-scan restriction builder --------------------------------------
@@ -541,24 +386,42 @@ class ValidateObsScope {
   ScopedLatency lat_;
 };
 
-// The one scan dispatch: scans `plan` when given, otherwise compiles Σ
-// when policy.plan asks for the shared plan and scans per GED when not;
-// serially or across the worker pool by options.num_threads.
+// plan=kPerRule as a plan: one bucket per GED in Σ order, holding the GED's
+// own pattern and X/Y under the identity to_plan (not canonicalized), so
+// each GED is enumerated on its own, under its own variable order, and its
+// bucket id is its index in Σ.
+RulesetPlan PerRulePlan(const std::vector<Ged>& sigma) {
+  RulesetPlan plan;
+  plan.num_rules = sigma.size();
+  plan.buckets.reserve(sigma.size());
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const Ged& phi = sigma[i];
+    PlanRule rule;
+    rule.ged_index = i;
+    rule.name = phi.name();
+    rule.to_plan.resize(phi.pattern().NumVars());
+    std::iota(rule.to_plan.begin(), rule.to_plan.end(), VarId{0});
+    rule.x_plan = phi.X();
+    rule.y_plan = phi.Y();
+    rule.forbidding = phi.is_forbidding();
+    plan.buckets.push_back(PlanBucket{phi.pattern(), {std::move(rule)}});
+  }
+  return plan;
+}
+
+// The one scan dispatch: scans `plan` when given, otherwise Σ compiled
+// (policy.plan = kCompiled) or as one bucket per GED (kPerRule).
 template <typename GView>
 ValidationReport ScanAll(const GView& g, const std::vector<Ged>* sigma,
                          const RulesetPlan* plan,
                          const ValidationOptions& options) {
-  std::optional<RulesetPlan> compiled;
-  if (plan == nullptr && options.policy.plan == PlanMode::kCompiled) {
-    plan = &compiled.emplace(CompileWithObs(*sigma, options));
+  std::optional<RulesetPlan> own;
+  if (plan == nullptr) {
+    plan = &own.emplace(options.policy.plan == PlanMode::kCompiled
+                            ? CompileWithObs(*sigma, options)
+                            : PerRulePlan(*sigma));
   }
-  bool serial = options.num_threads <= 1;
-  if (plan != nullptr) {
-    return serial ? ValidateSerialPlan(g, *plan, options)
-                  : ValidateParallelPlan(g, *plan, options);
-  }
-  return serial ? ValidateSerialLegacy(g, *sigma, options)
-                : ValidateParallelLegacy(g, *sigma, options);
+  return ScanPlan(g, *plan, options);
 }
 
 // The shared body of Validate and ValidateWithPlan: the run-level "Validate"
@@ -650,46 +513,51 @@ ValidationReport ValidateTouching(const OverlayView& g,
   ValidationReport report;
   if (touched.empty()) return report;
 
-  if (options.num_threads <= 1) {
-    WorkerState ws;
-    for (size_t b = 0; b < plan.buckets.size(); ++b) {
-      const PlanBucket& bucket = plan.buckets[b];
-      for (VarId x = 0; x < bucket.pattern.NumVars(); ++x) {
-        ScanBucketTouching(g, bucket, b, options, x, touched, touched, &ws);
-      }
-    }
-    return ReportFromWorker(std::move(ws), options);
-  }
-
-  // Parallel: one work item per (bucket, pin variable, touched-node chunk);
-  // pinned runs are independent, so any partition is race-free.
+  // Work items: (bucket, pin variable, index range of `touched`): the whole
+  // set when serial, chunks of it in parallel. Pinned runs are independent,
+  // so any partition is race-free.
   struct WorkItem {
-    const PlanBucket* bucket;
     size_t bucket_id;
     VarId var;
-    std::vector<NodeId> pins;
+    size_t begin, end;
   };
+  size_t chunk = options.num_threads <= 1
+                     ? touched.size()
+                     : std::max<size_t>(1, touched.size() /
+                                               (4 * size_t{options.num_threads}));
   std::vector<WorkItem> items;
-  size_t chunk = std::max<size_t>(
-      1, touched.size() / std::max<size_t>(1, 4 * options.num_threads));
   for (size_t b = 0; b < plan.buckets.size(); ++b) {
-    const PlanBucket& bucket = plan.buckets[b];
-    for (VarId x = 0; x < bucket.pattern.NumVars(); ++x) {
+    for (VarId x = 0; x < plan.buckets[b].pattern.NumVars(); ++x) {
       for (size_t begin = 0; begin < touched.size(); begin += chunk) {
-        size_t end = std::min(touched.size(), begin + chunk);
-        items.push_back(WorkItem{
-            &bucket, b, x,
-            std::vector<NodeId>(touched.begin() + begin,
-                                touched.begin() + end)});
+        items.push_back(
+            WorkItem{b, x, begin, std::min(touched.size(), begin + chunk)});
       }
     }
   }
 
+  // One touching run: variable x restricted to the label-compatible touched
+  // nodes of the item (one batched search), and matches where an earlier
+  // variable binds a touched node suppressed in-search — the canonical-run
+  // dedup of EnumerateMatchesTouching, each match owned by the run of its
+  // smallest touched variable.
   return RunParallelScan(
       items.size(), options, [&](size_t k, WorkerState* ws) {
         const WorkItem& item = items[k];
-        ScanBucketTouching(g, *item.bucket, item.bucket_id, options, item.var,
-                           item.pins, touched, ws);
+        const PlanBucket& bucket = plan.buckets[item.bucket_id];
+        std::vector<NodeId> allowed;
+        for (size_t i = item.begin; i < item.end; ++i) {
+          if (LabelMatches(bucket.pattern.label(item.var),
+                           g.label(touched[i]))) {
+            allowed.push_back(touched[i]);
+          }
+        }
+        if (allowed.empty()) return;
+        MatchOptions mopts = BaseMatchOptions(options);
+        mopts.restricted.emplace_back(item.var, std::move(allowed));
+        mopts.exclude_before_var = item.var;
+        mopts.exclude_nodes = &touched;
+        ScanBucketTask(g, bucket, item.bucket_id, options, std::move(mopts),
+                       ws);
       });
 }
 
@@ -711,16 +579,7 @@ std::vector<Violation> FindViolationsSeededByEdges(
       if (!SeedEndpointRestrictions(g, q, pe, seeds, &srcs, &dsts)) continue;
       MatchOptions mopts = base;
       mopts.restricted = {{pe.src, srcs}, {pe.dst, dsts}};
-      ScanObs obs(options, "bucket", b, &mopts);
-      size_t viol_start = ws.violations.size();
-      MatchStats stats =
-          ScanBucket(g, bucket, mopts, &ws.checked,
-                     [&](size_t ged_index, const Match& rule_match) {
-                       ws.violations.push_back(Violation{ged_index, rule_match});
-                       return true;
-                     });
-      AccountBucketScan(bucket, b, stats, &ws, viol_start, obs.profiler());
-      obs.Finish();
+      ScanBucketTask(g, bucket, b, options, std::move(mopts), &ws);
     }
   }
   *checked += ws.checked;

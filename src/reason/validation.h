@@ -10,9 +10,10 @@
 // default Σ is first compiled into a shared plan (plan/plan.h): rules with
 // isomorphic patterns are bucketed into one batched enumeration with
 // per-rule condition callbacks, so a multi-rule Σ over few pattern shapes
-// pays one match-space walk per shape instead of one per rule. The legacy
-// per-GED path is kept behind ExecutionPolicy::plan = kPerRule;
-// the two paths produce bit-identical sorted reports (pinned by the
+// pays one match-space walk per shape instead of one per rule.
+// ExecutionPolicy::plan = kPerRule instead plans one bucket per GED, holding
+// the GED's own pattern and literals; both plans run through the one scan
+// engine and produce bit-identical sorted reports (pinned by the
 // differential harness in tests/plan_diff_test.cc). The paper's future-work
 // item "parallel scalable algorithms" is implemented as a thread pool
 // partitioning the candidate bindings of one pattern variable — the most
@@ -25,8 +26,9 @@
 // any backend. The incremental building blocks below (touching and
 // edge-seeded re-scans) take one shape only — an OverlayView (graph/
 // overlay.h) and a compiled plan — because that is the one configuration
-// IncrementalValidator commits through; their differential oracle is the
-// per-rule full Validate above (tests/plan_diff_test.cc).
+// IncrementalValidator commits through; their differential oracles are the
+// full Validate above and the test-only brute-force validator in
+// tests/reference/ (tests/plan_diff_test.cc).
 
 #ifndef GEDLIB_REASON_VALIDATION_H_
 #define GEDLIB_REASON_VALIDATION_H_
@@ -82,9 +84,10 @@ struct ValidationOptions {
   ///     kAuto leapfrogs wherever the backend has sorted columnar spans.
   ///     The intersection-kernel backend is chosen process-wide
   ///     (match/kernels/registry.h).
-  ///   * plan: shared ruleset plan vs legacy per-GED enumeration (kept for
-  ///     differential testing and ablation); reports are bit-identical.
-  ///     Full Validate only — IncrementalValidator always runs the plan.
+  ///   * plan: shared ruleset plan vs one bucket per GED (kept for
+  ///     differential testing and ablation); both run through the same scan
+  ///     engine and reports are bit-identical. Full Validate only —
+  ///     IncrementalValidator always runs the shared plan.
   ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
   ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
   ///     kAuto engages above an amortization cutoff; kNever scans the
@@ -126,8 +129,8 @@ struct ValidationReport {
   /// All violations found (sorted by ged_index, then match).
   std::vector<Violation> violations;
   /// Total (match, rule) pairs inspected across all GEDs. Identical between
-  /// the compiled and legacy paths: a bucket of r rules counts each
-  /// enumerated match r times, exactly as r per-GED scans would.
+  /// the compiled and per-rule plans: a bucket of r rules counts each
+  /// enumerated match r times, exactly as r one-rule buckets would.
   uint64_t matches_checked = 0;
   /// GED indices (sorted, distinct) whose scan hit
   /// ValidationOptions::max_steps_per_scan — their violation lists may be

@@ -1,7 +1,7 @@
 // Backend-equivalence harness: every search layer must produce identical
 // results against the mutable Graph and its FrozenGraph CSR snapshot —
 // match sets (matcher), violation reports and matches_checked (validation,
-// both the compiled shared-plan path and the legacy per-GED path), under
+// both the compiled shared plan and the per-rule plan), under
 // both homomorphism and isomorphism semantics, serial and parallel. The
 // paper's scenarios (knowledge base, social network, music base) and random
 // graph/Σ sweeps drive the comparison.
@@ -76,7 +76,7 @@ void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
         ValidationReport base = Validate(g, sigma, opts);
         ValidationReport snap = Validate(f, sigma, opts);
         std::string ctx = what + " [" + sem.name +
-                          (compiled ? ", compiled" : ", legacy") +
+                          (compiled ? ", compiled" : ", per-rule") +
                           ", threads=" + std::to_string(threads) + "]";
         EXPECT_EQ(base.satisfied, snap.satisfied) << ctx;
         EXPECT_EQ(base.violations, snap.violations) << ctx;

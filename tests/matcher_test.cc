@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <random>
 
@@ -19,6 +18,7 @@
 #include "graph/overlay.h"
 #include "graph/pattern.h"
 #include "match/matcher.h"
+#include "reference/naive_validator.h"
 
 namespace ged {
 namespace {
@@ -262,30 +262,13 @@ TEST_P(MatcherTest, InvalidPinYieldsNothing) {
   EXPECT_EQ(Count(q, g, opts), 0u);
 }
 
-// Brute-force reference enumerator for cross-checking.
+// Match count of the brute-force reference enumerator (tests/reference/).
 uint64_t BruteForceCount(const Pattern& q, const Graph& g, bool injective) {
-  size_t n = q.NumVars();
-  std::vector<NodeId> assign(n, 0);
   uint64_t count = 0;
-  std::function<void(size_t)> go = [&](size_t d) {
-    if (d == n) {
-      if (injective) {
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = i + 1; j < n; ++j) {
-            if (assign[i] == assign[j]) return;
-          }
-        }
-      }
-      Match m(assign.begin(), assign.end());
-      if (IsValidMatch(q, g, m)) ++count;
-      return;
-    }
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      assign[d] = v;
-      go(d + 1);
-    }
-  };
-  go(0);
+  reference::ForEachMatch(
+      q, g,
+      injective ? MatchSemantics::kIsomorphism : MatchSemantics::kHomomorphism,
+      [&](const Match&) { ++count; });
   return count;
 }
 

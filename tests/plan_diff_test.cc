@@ -1,15 +1,20 @@
 // Differential harness for the shared-plan ruleset compiler (src/plan/):
-// the compiled path and the legacy per-GED path must emit bit-identical
-// sorted violation reports — same violations, same matches_checked — on
-// every generator scenario, random GED set, delta stream and semantics.
-// The incremental building blocks (touching and edge-seeded scans over an
-// overlay) have no per-rule twin; they are checked against the per-rule full
-// Validate, filtered to the region they claim to cover.
-// Plus unit coverage for pattern canonicalization and bucketing.
+// the compiled plan and the per-rule plan (one bucket per GED) must emit
+// bit-identical sorted violation reports — same violations, same
+// matches_checked — on every generator scenario, random GED set, delta
+// stream and semantics. Both run through the same scan engine, so on small
+// graphs a third vote comes from the brute-force reference validator
+// (tests/reference/), which shares no engine code. The incremental building
+// blocks (touching and edge-seeded scans over an overlay) have no per-rule
+// twin; they are checked against the full reports, filtered to the region
+// they claim to cover.
+// Plus unit coverage for pattern canonicalization, bucketing and the
+// EXPLAIN shape of both plans.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 
 #include "ged/canonical.h"
@@ -19,8 +24,10 @@
 #include "graph/overlay.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
+#include "obs/obs.h"
 #include "plan/plan.h"
 #include "reason/validation.h"
+#include "reference/naive_validator.h"
 
 namespace ged {
 namespace {
@@ -144,27 +151,86 @@ TEST(RulesetPlan, EmptySigmaAndEmptyPattern) {
   EXPECT_TRUE(forbidden.violations[0].match.empty());
 }
 
-// ----- differential: compiled vs legacy -------------------------------------
+// ----- EXPLAIN shape of both plans -----------------------------------------
 
-void ExpectPathsAgree(const Graph& g, const std::vector<Ged>& sigma,
-                      ValidationOptions opts) {
-  opts.policy.plan = PlanMode::kPerRule;
-  ValidationReport legacy = Validate(g, sigma, opts);
-  opts.policy.plan = PlanMode::kCompiled;
-  ValidationReport compiled = Validate(g, sigma, opts);
-  EXPECT_EQ(compiled.satisfied, legacy.satisfied);
-  EXPECT_EQ(compiled.violations, legacy.violations);
-  EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
+// The profile of one Validate of `sigma` on `g` under `mode` and `threads`.
+ProfileReport ProfileValidate(const Graph& g, const std::vector<Ged>& sigma,
+                              PlanMode mode, unsigned threads) {
+  ObsSession session;
+  ValidationOptions opts;
+  opts.policy.plan = mode;
+  opts.num_threads = threads;
+  opts.obs = session.Options();
+  Validate(g, sigma, opts);
+  return session.Profiler().Finish(0);
 }
 
-void ExpectPathsAgreeAllModes(const Graph& g, const std::vector<Ged>& sigma) {
+TEST(PlanExplain, BucketShapePerMode) {
+  KbInstance kb = GenKnowledgeBase(KbParams{});
+  std::vector<Ged> sigma = Example1Geds();
+  sigma.push_back(PermuteGed(sigma[1], {2, 1, 0}));  // shares sigma[1]'s bucket
+  for (PlanMode mode : {PlanMode::kPerRule, PlanMode::kCompiled}) {
+    bool per_rule = mode == PlanMode::kPerRule;
+    ProfileReport serial = ProfileValidate(kb.graph, sigma, mode, 1);
+    ASSERT_EQ(serial.rules.size(), sigma.size());
+    if (per_rule) {
+      // One bucket per GED, rule i in bucket i.
+      ASSERT_EQ(serial.buckets.size(), sigma.size());
+      for (size_t i = 0; i < sigma.size(); ++i) {
+        EXPECT_EQ(serial.rules[i].bucket, i);
+      }
+    } else {
+      EXPECT_EQ(serial.buckets.size(), sigma.size() - 1);
+    }
+    // A serial scan runs each bucket as one unpinned task.
+    for (const ProfileReport::Bucket& b : serial.buckets) {
+      EXPECT_EQ(b.scans, 1u) << "per_rule=" << per_rule << " bucket " << b.id;
+    }
+    ProfileReport parallel = ProfileValidate(kb.graph, sigma, mode, 4);
+    ASSERT_EQ(parallel.rules.size(), serial.rules.size());
+    for (size_t i = 0; i < serial.rules.size(); ++i) {
+      EXPECT_EQ(parallel.rules[i].checked, serial.rules[i].checked)
+          << "per_rule=" << per_rule << " rule " << i;
+    }
+  }
+}
+
+// ----- differential: compiled vs per-rule vs reference ---------------------
+
+// The compiled and per-rule plans agree with each other and, when `ref` is
+// given, with the reference validator's uncapped report truncated by the
+// same cap.
+void ExpectPathsAgree(const Graph& g, const std::vector<Ged>& sigma,
+                      ValidationOptions opts,
+                      const reference::Report* ref = nullptr) {
+  opts.policy.plan = PlanMode::kPerRule;
+  ValidationReport per_rule = Validate(g, sigma, opts);
+  opts.policy.plan = PlanMode::kCompiled;
+  ValidationReport compiled = Validate(g, sigma, opts);
+  EXPECT_EQ(compiled.satisfied, per_rule.satisfied);
+  EXPECT_EQ(compiled.violations, per_rule.violations);
+  EXPECT_EQ(compiled.matches_checked, per_rule.matches_checked);
+  if (ref == nullptr) return;
+  std::vector<Violation> expected = ref->violations;
+  TruncateViolationsPerGed(&expected, opts.max_violations_per_ged);
+  EXPECT_EQ(compiled.violations, expected);
+  EXPECT_EQ(compiled.matches_checked, ref->matches_checked);
+  EXPECT_EQ(compiled.satisfied, ref->violations.empty());
+}
+
+// Both semantics, serial and 4 threads; `with_reference` adds the
+// reference validator's vote (small graphs only).
+void ExpectPathsAgreeAllModes(const Graph& g, const std::vector<Ged>& sigma,
+                              bool with_reference = false) {
   for (MatchSemantics sem :
        {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
+    std::optional<reference::Report> ref;
+    if (with_reference) ref = reference::Validate(g, sigma, sem);
     for (unsigned threads : {1u, 4u}) {
       ValidationOptions opts;
       opts.semantics = sem;
       opts.num_threads = threads;
-      ExpectPathsAgree(g, sigma, opts);
+      ExpectPathsAgree(g, sigma, opts, ref ? &*ref : nullptr);
     }
   }
 }
@@ -209,7 +275,7 @@ TEST(PlanDifferential, RandomGedSetsAcrossClasses) {
       sigma.push_back(PermuteGed(sigma[i], perm));
     }
     EXPECT_GT(RulesetPlan::Compile(sigma).NumSharedRules(), 0u);
-    ExpectPathsAgreeAllModes(g, sigma);
+    ExpectPathsAgreeAllModes(g, sigma, /*with_reference=*/true);
   }
 }
 
@@ -218,11 +284,13 @@ TEST(PlanDifferential, CappedReportsAgree) {
   params.wrong_creator = 6;
   params.double_capital = 3;
   KbInstance kb = GenKnowledgeBase(params);
+  std::vector<Ged> sigma = Example1Geds();
+  reference::Report ref = reference::Validate(kb.graph, sigma);
   for (unsigned threads : {1u, 4u}) {
     ValidationOptions opts;
     opts.max_violations_per_ged = 2;
     opts.num_threads = threads;
-    ExpectPathsAgree(kb.graph, Example1Geds(), opts);
+    ExpectPathsAgree(kb.graph, sigma, opts, &ref);
   }
 }
 
@@ -288,22 +356,32 @@ MirroredGraph MirrorWithDelta(Graph g, const RandomGraphParams& gp,
   return {std::move(g), std::move(overlay)};
 }
 
-// Test-only reference for the touching scan: the per-rule full Validate,
-// filtered to the violations whose match binds a touched node.
-std::vector<Violation> TouchingReference(const Graph& g,
-                                         const std::vector<Ged>& sigma,
-                                         const std::vector<NodeId>& touched,
-                                         ValidationOptions opts) {
-  opts.policy.plan = PlanMode::kPerRule;
+// The full report's violations whose match binds a touched node: what the
+// touching scan must return.
+std::vector<Violation> BindingTouched(const std::vector<Violation>& full,
+                                      const std::vector<NodeId>& touched) {
   std::vector<Violation> out;
-  for (Violation& v : Validate(g, sigma, opts).violations) {
+  for (const Violation& v : full) {
     if (std::any_of(v.match.begin(), v.match.end(), [&](NodeId n) {
           return std::binary_search(touched.begin(), touched.end(), n);
         })) {
-      out.push_back(std::move(v));
+      out.push_back(v);
     }
   }
   return out;
+}
+
+// The per-rule full Validate of `g`, checked against the reference
+// validator first.
+std::vector<Violation> FullViolations(const Graph& g,
+                                      const std::vector<Ged>& sigma) {
+  ValidationOptions opts;
+  opts.policy.plan = PlanMode::kPerRule;
+  ValidationReport per_rule = Validate(g, sigma, opts);
+  reference::Report ref = reference::Validate(g, sigma);
+  EXPECT_EQ(per_rule.violations, ref.violations);
+  EXPECT_EQ(per_rule.matches_checked, ref.matches_checked);
+  return per_rule.violations;
 }
 
 TEST(PlanDifferential, ValidateTouchingAgrees) {
@@ -317,6 +395,7 @@ TEST(PlanDifferential, ValidateTouchingAgrees) {
   rp.seed = 42;
   std::vector<Ged> sigma = RandomGeds(6, rp);
   RulesetPlan plan = RulesetPlan::Compile(sigma);
+  std::vector<Violation> full = FullViolations(m.graph, sigma);
   std::mt19937 rng(43);
   size_t found = 0;
   for (int round = 0; round < 6; ++round) {
@@ -329,8 +408,7 @@ TEST(PlanDifferential, ValidateTouchingAgrees) {
       opts.num_threads = threads;
       ValidationReport touching =
           ValidateTouching(m.overlay, plan, touched, opts);
-      EXPECT_EQ(touching.violations,
-                TouchingReference(m.graph, sigma, touched, opts))
+      EXPECT_EQ(touching.violations, BindingTouched(full, touched))
           << "round " << round << ", threads=" << threads;
       found += touching.violations.size();
     }
@@ -370,8 +448,7 @@ TEST(PlanDifferential, SeededByEdgesAgrees) {
   uint64_t checked = 0;
   std::vector<Violation> seeded = FindViolationsSeededByEdges(
       m.overlay, RulesetPlan::Compile(sigma), seeds, opts, &checked);
-  opts.policy.plan = PlanMode::kPerRule;
-  std::vector<Violation> full = Validate(m.graph, sigma, opts).violations;
+  std::vector<Violation> full = FullViolations(m.graph, sigma);
 
   // Sound: every seeded result is a violation of the whole graph.
   for (const Violation& v : seeded) {
@@ -402,10 +479,10 @@ TEST(PlanDifferential, SeededByEdgesAgrees) {
   EXPECT_GE(checked, seeded.size());
 }
 
-// The compiled incremental validator must track the *legacy* from-scratch
-// oracle across a random delta stream — the end-to-end differential: every
+// The compiled incremental validator must track the per-rule from-scratch
+// Validate across a random delta stream — the end-to-end differential: every
 // layer (full validate, touching re-scan, edge-seeded re-scan) crosses the
-// compiled/legacy boundary here.
+// compiled/per-rule boundary here.
 void RunDifferentialStream(MatchSemantics sem, unsigned threads,
                            unsigned seed) {
   RandomGraphParams gp;
@@ -424,21 +501,21 @@ void RunDifferentialStream(MatchSemantics sem, unsigned threads,
   opts.policy.plan = PlanMode::kCompiled;
   IncrementalValidator v(RandomPropertyGraph(gp), sigma, opts);
 
-  ValidationOptions legacy_opts = opts;
-  legacy_opts.policy.plan = PlanMode::kPerRule;
-  auto expect_matches_legacy = [&]() {
-    ValidationReport oracle = Validate(v.graph(), v.sigma(), legacy_opts);
+  ValidationOptions per_rule_opts = opts;
+  per_rule_opts.policy.plan = PlanMode::kPerRule;
+  auto expect_matches_per_rule = [&]() {
+    ValidationReport oracle = Validate(v.graph(), v.sigma(), per_rule_opts);
     EXPECT_EQ(v.report().satisfied, oracle.satisfied);
     EXPECT_EQ(v.report().violations, oracle.violations);
   };
-  expect_matches_legacy();
+  expect_matches_per_rule();
 
   std::mt19937 rng(seed + 2);
   for (int commit = 0; commit < 8; ++commit) {
     GraphDelta d = RandomDelta(v.graph(), &rng, 12, gp);
     auto applied = v.Commit(d);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    expect_matches_legacy();
+    expect_matches_per_rule();
   }
 }
 
