@@ -19,6 +19,9 @@
 //    tracks the delta, not the graph, so the gap reopens as the graph
 //    outgrows the fixed ingest batch (~5× at 3200, ~15× at 12800).
 //
+// BM_LoadCheckpoint/{sparse,kb} time checkpoint reload, the load stage of
+// crash recovery.
+//
 //   ./build/bench/bench_incremental
 
 #include <benchmark/benchmark.h>
@@ -35,7 +38,9 @@
 #include <string>
 #include <vector>
 
+#include "gen/random_gen.h"
 #include "gen/scenarios.h"
+#include "graph/io.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "obs/exporter.h"
@@ -566,6 +571,64 @@ BENCHMARK(BM_OverlayCommit_Cards)
     ->Arg(64)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
+
+// ----- checkpoint reload ----------------------------------------------------
+//
+// The load stage of Recover: one LoadCheckpoint of a file saved once per
+// series (page-cache hot). `sparse` is the sparse_audit graph of gedbench
+// (50k nodes, average out-degree 8, 4 node and 2 edge labels); `kb` a
+// 20k-product knowledge base, whose load is dominated by attributes.
+// Freeing the loaded graph is not timed: Recover keeps it.
+
+Graph SparseAuditGraph() {
+  RandomGraphParams p;
+  p.num_nodes = 50000;
+  p.avg_out_degree = 8.0;
+  p.num_node_labels = 4;
+  p.num_edge_labels = 2;
+  return RandomPropertyGraph(p);
+}
+
+Graph KbCheckpointGraph() { return GenKnowledgeBase(KbAtScale(20000)).graph; }
+
+void BM_LoadCheckpoint(benchmark::State& state, Graph (*make_graph)()) {
+  const Graph g = make_graph();
+  char tmpl[] = "/tmp/gedlib_bench_ckpt_XXXXXX";
+  const char* made = mkdtemp(tmpl);
+  if (made == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  const std::string dir = made;
+  Result<std::string> path = SaveCheckpoint(g, 1, dir);
+  if (!path.ok()) {
+    state.SkipWithError(path.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = std::make_unique<Result<Checkpoint>>(
+        LoadCheckpoint(path.value()));
+    benchmark::DoNotOptimize(loaded.get());
+    state.PauseTiming();
+    if (!loaded->ok() || loaded->value().graph.NumEdges() != g.NumEdges()) {
+      state.SkipWithError("reload does not match the saved graph");
+      state.ResumeTiming();
+      break;
+    }
+    loaded.reset();
+    state.ResumeTiming();
+  }
+  std::string cmd = "rm -rf '" + dir + "'";
+  if (std::system(cmd.c_str()) != 0) {
+    state.SkipWithError("checkpoint dir cleanup failed");
+  }
+  state.counters["nodes"] = static_cast<double>(g.NumNodes());
+  state.counters["edges"] = static_cast<double>(g.NumEdges());
+}
+BENCHMARK_CAPTURE(BM_LoadCheckpoint, sparse, SparseAuditGraph)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LoadCheckpoint, kb, KbCheckpointGraph)
+    ->Unit(benchmark::kMillisecond);
 
 // --profile mode: one validator lifetime under an ObsSession — the seeding
 // full Validate() plus a burst of KB commits — so the trace shows the

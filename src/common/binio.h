@@ -109,11 +109,19 @@ class Reader {
     return true;
   }
 
-  bool GetStr(std::string* s) {
+  /// A u32-prefixed string as a view into the buffer (valid while it is).
+  bool GetStrView(std::string_view* s) {
     uint32_t len = 0;
     if (!GetU32(&len) || remaining() < len) return false;
-    s->assign(data_.data() + pos_, len);
+    *s = data_.substr(pos_, len);
     pos_ += len;
+    return true;
+  }
+
+  bool GetStr(std::string* s) {
+    std::string_view view;
+    if (!GetStrView(&view)) return false;
+    s->assign(view);
     return true;
   }
 

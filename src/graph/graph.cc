@@ -2,43 +2,35 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 namespace ged {
 
-Graph::Graph(const Graph& other)
-    : labels_(other.labels_),
-      attrs_(other.attrs_),
-      out_(other.out_),
-      in_(other.in_),
-      edge_set_(other.edge_set_),
-      num_edges_(other.num_edges_),
-      label_index_(other.label_index_) {}
+namespace {
 
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  labels_ = other.labels_;
-  attrs_ = other.attrs_;
-  out_ = other.out_;
-  in_ = other.in_;
-  edge_set_ = other.edge_set_;
-  num_edges_ = other.num_edges_;
-  label_index_ = other.label_index_;
-  // listeners_ intentionally untouched: they observe this instance.
-  return *this;
+// True iff some edge src→dst has a label `label_ok` accepts. Scans the
+// shorter of out(src) and in(dst); both list the edge once.
+template <typename LabelOk>
+bool FindEdge(const std::vector<Edge>& out_src, const std::vector<Edge>& in_dst,
+              NodeId src, NodeId dst, LabelOk label_ok) {
+  const bool by_src = out_src.size() <= in_dst.size();
+  const NodeId other = by_src ? dst : src;
+  for (const Edge& e : by_src ? out_src : in_dst) {
+    if (e.other == other && label_ok(e.label)) return true;
+  }
+  return false;
 }
 
-Graph::Graph(Graph&& other) noexcept
-    : labels_(std::move(other.labels_)),
-      attrs_(std::move(other.attrs_)),
-      out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      edge_set_(std::move(other.edge_set_)),
-      num_edges_(other.num_edges_),
-      label_index_(std::move(other.label_index_)) {
-  // listeners_ not transferred: they were registered on `other`.
-  other.num_edges_ = 0;
+// An adjacency list in (label, other) order.
+std::vector<Edge> SortedEdges(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.label, a.other) < std::tie(b.label, b.other);
+  });
+  return edges;
 }
+
+}  // namespace
 
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this == &other) return *this;
@@ -46,20 +38,16 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   attrs_ = std::move(other.attrs_);
   out_ = std::move(other.out_);
   in_ = std::move(other.in_);
-  edge_set_ = std::move(other.edge_set_);
-  num_edges_ = other.num_edges_;
+  num_edges_ = std::exchange(other.num_edges_, 0);
   label_index_ = std::move(other.label_index_);
-  other.num_edges_ = 0;
-  // listeners_ intentionally untouched: they observe this instance.
-  return *this;
+  return *this;  // listeners_ untouched: they observe this instance
 }
 
-void Graph::Reserve(size_t num_nodes, size_t num_edges) {
+void Graph::Reserve(size_t num_nodes, size_t /*num_edges*/) {
   labels_.reserve(num_nodes);
   attrs_.reserve(num_nodes);
   out_.reserve(num_nodes);
   in_.reserve(num_nodes);
-  edge_set_.reserve(num_edges);
 }
 
 NodeId Graph::AddNode(Label label) {
@@ -94,7 +82,9 @@ bool Graph::SetAttr(NodeId v, AttrId attr, Value value) {
 }
 
 bool Graph::AddEdge(NodeId src, Label label, NodeId dst) {
-  if (!edge_set_.insert(EdgeKey{src, label, dst}).second) return false;
+  // Exact match: a '_' edge (canonical graphs of patterns) is not a wildcard.
+  auto same = [label](Label l) { return l == label; };
+  if (FindEdge(out_[src], in_[dst], src, dst, same)) return false;
   out_[src].push_back(Edge{label, dst});
   in_[dst].push_back(Edge{label, src});
   ++num_edges_;
@@ -102,6 +92,18 @@ bool Graph::AddEdge(NodeId src, Label label, NodeId dst) {
     listeners_[i]->OnEdgeAdded(src, label, dst);
   }
   return true;
+}
+
+size_t Graph::AddEdges(std::span<const EdgeTriple> edges) {
+  std::vector<uint32_t> out_deg(NumNodes()), in_deg(NumNodes());
+  for (const EdgeTriple& e : edges) ++out_deg[e.src], ++in_deg[e.dst];
+  for (NodeId v = 0; v < NumNodes(); ++v) {
+    out_[v].reserve(out_[v].size() + out_deg[v]);
+    in_[v].reserve(in_[v].size() + in_deg[v]);
+  }
+  size_t added = 0;
+  for (const EdgeTriple& e : edges) added += AddEdge(e.src, e.label, e.dst);
+  return added;
 }
 
 std::optional<Value> Graph::attr(NodeId v, AttrId a) const {
@@ -114,13 +116,8 @@ std::optional<Value> Graph::attr(NodeId v, AttrId a) const {
 }
 
 bool Graph::HasEdge(NodeId src, Label label, NodeId dst) const {
-  if (label != kWildcard) {
-    return edge_set_.count(EdgeKey{src, label, dst}) > 0;
-  }
-  for (const Edge& e : out_[src]) {
-    if (e.other == dst) return true;
-  }
-  return false;
+  return FindEdge(out_[src], in_[dst], src, dst,
+                  [label](Label l) { return LabelMatches(label, l); });
 }
 
 const std::vector<NodeId>& Graph::NodesWithLabel(Label label) const {
@@ -160,8 +157,12 @@ NodeId Graph::DisjointUnion(const Graph& other) {
 bool Graph::operator==(const Graph& other) const {
   if (labels_ != other.labels_ || attrs_ != other.attrs_) return false;
   if (num_edges_ != other.num_edges_) return false;
-  for (const auto& key : edge_set_) {
-    if (other.edge_set_.count(key) == 0) return false;
+  // Out-lists hold no duplicates, so equal sorted lists mean equal edge sets.
+  for (NodeId v = 0; v < NumNodes(); ++v) {
+    if (out_[v] != other.out_[v] &&
+        SortedEdges(out_[v]) != SortedEdges(other.out_[v])) {
+      return false;
+    }
   }
   return true;
 }
@@ -175,12 +176,10 @@ std::string Graph::ToString() const {
     }
     os << "\n";
   }
-  std::vector<EdgeKey> edges(edge_set_.begin(), edge_set_.end());
-  std::sort(edges.begin(), edges.end(), [](const EdgeKey& a, const EdgeKey& b) {
-    return std::tie(a.src, a.label, a.dst) < std::tie(b.src, b.label, b.dst);
-  });
-  for (const auto& e : edges) {
-    os << "edge " << e.src << " " << SymName(e.label) << " " << e.dst << "\n";
+  for (NodeId v = 0; v < NumNodes(); ++v) {
+    for (const Edge& e : SortedEdges(out_[v])) {
+      os << "edge " << v << " " << SymName(e.label) << " " << e.other << "\n";
+    }
   }
   return os.str();
 }

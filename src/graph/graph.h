@@ -10,15 +10,20 @@
 // Graphs are schemaless: an attribute may exist on some nodes and not on
 // others. The structure maintains label and adjacency indexes used by the
 // homomorphism matcher.
+//
+// Storage is adjacency only: per-node out- and in-edge vectors in insertion
+// order, no edge index. AddEdge (dedup) and HasEdge scan the shorter of
+// out(src) and in(dst), so each costs O(min(out(src), in(dst))).
 
 #ifndef GEDLIB_GRAPH_GRAPH_H_
 #define GEDLIB_GRAPH_GRAPH_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/interner.h"
@@ -83,17 +88,18 @@ class Graph {
   // Construction starts with no listeners; assignment keeps the
   // destination's own listeners (no notifications are emitted for the
   // wholesale change).
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&& other) noexcept;
+  Graph(const Graph& other) = default;
+  Graph& operator=(const Graph& other) = default;
+  Graph(Graph&& other) noexcept { *this = std::move(other); }
   Graph& operator=(Graph&& other) noexcept;
 
   // ----- construction -------------------------------------------------
 
-  /// Pre-allocates storage for the given totals (existing + expected). Use
-  /// before streaming deltas into a freshly copied graph: copies have
+  /// Pre-allocates node storage for the given total (existing + expected).
+  /// Use before streaming deltas into a freshly copied graph: copies have
   /// capacity == size, so the first growth wave would otherwise reallocate
-  /// every container at once.
+  /// every container at once. `num_edges` is a hint only: edges live in
+  /// per-node vectors, which AddEdges sizes exactly.
   void Reserve(size_t num_nodes, size_t num_edges);
 
   /// Adds a node with the given label; returns its id.
@@ -117,6 +123,9 @@ class Graph {
   bool AddEdge(NodeId src, std::string_view label, NodeId dst) {
     return AddEdge(src, Sym(label), dst);
   }
+  /// Adds a batch of edges as AddEdge would, after sizing every adjacency
+  /// vector exactly from the batch's degrees. Returns the number added.
+  size_t AddEdges(std::span<const EdgeTriple> edges);
 
   // ----- inspection ----------------------------------------------------
 
@@ -143,7 +152,7 @@ class Graph {
   /// In-edges of v.
   const std::vector<Edge>& in(NodeId v) const { return in_[v]; }
   /// True iff edge (src, label, dst) exists. `label` may be kWildcard to
-  /// test for any label.
+  /// test for any label. O(min(out(src), in(dst))).
   bool HasEdge(NodeId src, Label label, NodeId dst) const;
 
   /// All nodes whose label is exactly `label`, in insertion order. For a
@@ -178,7 +187,8 @@ class Graph {
   /// maps `other`'s node v to `offset + v` in this graph.
   NodeId DisjointUnion(const Graph& other);
 
-  /// Structural equality (same ids, labels, attrs, edges).
+  /// Structural equality (same ids, labels, attrs, edge sets); adjacency
+  /// order is ignored, as a reloaded checkpoint orders in-edges differently.
   bool operator==(const Graph& other) const;
 
   /// Multi-line human-readable dump (matches the io.h text format).
@@ -189,29 +199,18 @@ class Graph {
   std::vector<std::vector<std::pair<AttrId, Value>>> attrs_;
   std::vector<std::vector<Edge>> out_;
   std::vector<std::vector<Edge>> in_;
-  struct EdgeKey {
-    NodeId src;
-    Label label;
-    NodeId dst;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    size_t operator()(const EdgeKey& e) const {
-      uint64_t h = uint64_t{e.src} * 0x9e3779b97f4a7c15ULL;
-      h ^= uint64_t{e.label} + 0x9e3779b9ULL + (h << 6) + (h >> 2);
-      h ^= uint64_t{e.dst} + 0x85ebca6bULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-  // Dedup set for edges (E is a set of triples).
-  std::unordered_set<EdgeKey, EdgeKeyHash> edge_set_;
   size_t num_edges_ = 0;
   // Label index, maintained eagerly by AddNode so const accessors never
   // mutate it (lazy rebuilds from NodesWithLabel raced under the parallel
   // validator and could dangle references across mutations).
   std::unordered_map<Label, std::vector<NodeId>> label_index_;
-  // Mutation observers (never copied with the graph).
-  std::vector<GraphListener*> listeners_;
+  // Mutation observers. Copying yields none and assigning keeps the
+  // destination's own.
+  struct Listeners : std::vector<GraphListener*> {
+    Listeners() = default;
+    Listeners(const Listeners&) : std::vector<GraphListener*>() {}
+    Listeners& operator=(const Listeners&) { return *this; }
+  } listeners_;
 };
 
 }  // namespace ged

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "common/binio.h"
@@ -320,6 +321,35 @@ Status WriteFileDurably(const std::string& path, const std::string& data) {
   return Status::OK();
 }
 
+// Reads all of `path` with one read sized by fstat (repeated only on a
+// short read or EINTR).
+Result<std::string> ReadWholeFile(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::Unavailable(ErrnoMessage("open " + path));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    Status err = Status::Unavailable(ErrnoMessage("stat " + path));
+    ::close(fd);
+    return err;
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < data.size()) {
+    ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      Status err = Status::Unavailable(ErrnoMessage("read " + path));
+      ::close(fd);
+      return err;
+    }
+    if (n == 0) break;  // shrank since fstat: decoding reports truncation
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  data.resize(got);
+  return data;
+}
+
 template <typename GraphT>
 Result<std::string> SaveCheckpointT(const GraphT& g, uint64_t epoch,
                                     const std::string& dir) {
@@ -372,23 +402,9 @@ Result<std::string> SaveCheckpoint(const FrozenGraph& g, uint64_t epoch,
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  std::string data;
-  {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::Unavailable(ErrnoMessage("open " + path));
-    char buf[1 << 16];
-    for (;;) {
-      ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        return Status::Unavailable(ErrnoMessage("read " + path));
-      }
-      if (n == 0) break;
-      data.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-  }
+  Result<std::string> file = ReadWholeFile(path);
+  if (!file.ok()) return file.status();
+  const std::string_view data = file.value();
   auto corrupt = [&](const std::string& msg) {
     return Status::DataLoss("checkpoint " + path + ": " + msg);
   };
@@ -396,7 +412,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
       std::memcmp(data.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
     return corrupt("bad magic header");
   }
-  binio::Reader top(std::string_view(data).substr(sizeof(kCkptMagic)));
+  binio::Reader top(data.substr(sizeof(kCkptMagic)));
   uint32_t version = 0, section_count = 0;
   uint64_t epoch = 0;
   if (!top.GetU32(&version) || !top.GetU64(&epoch) ||
@@ -420,8 +436,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
                      " truncated: declares " + std::to_string(len) +
                      " bytes, " + std::to_string(top.remaining()) + " left");
     }
-    std::string_view payload =
-        std::string_view(data).substr(data.size() - top.remaining(), len);
+    std::string_view payload = data.substr(data.size() - top.remaining(), len);
     uint32_t actual = Crc32c(payload.data(), payload.size());
     if (actual != crc) {
       return corrupt("section " + std::to_string(id) +
@@ -441,51 +456,64 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
     return corrupt("missing section");
   }
 
+  // One pass per section. Labels and attribute names are views into `data`;
+  // each distinct one is interned once per load, not once per record.
+  std::unordered_map<std::string_view, Symbol> symbols;
+  auto intern = [&symbols](std::string_view name) {
+    auto [it, inserted] = symbols.try_emplace(name, kWildcard);
+    if (inserted) it->second = Sym(name);
+    return it->second;
+  };
   Checkpoint ckpt;
   ckpt.epoch = epoch;
   Graph& g = ckpt.graph;
+  std::string_view name;
   {
     binio::Reader r(nodes);
     uint64_t n = 0;
-    if (!r.GetU64(&n)) return corrupt("nodes section truncated");
-    std::string label;
+    // A node record takes at least 4 bytes, which bounds the reservation.
+    if (!r.GetU64(&n) || n > r.remaining() / 4) {
+      return corrupt("nodes section truncated");
+    }
+    g.Reserve(n, 0);
     for (uint64_t v = 0; v < n; ++v) {
-      if (!r.GetStr(&label)) return corrupt("nodes section truncated");
-      g.AddNode(std::string_view(label));
+      if (!r.GetStrView(&name)) return corrupt("nodes section truncated");
+      g.AddNode(intern(name));
     }
     if (!r.Done()) return corrupt("nodes section has trailing bytes");
   }
   {
     binio::Reader r(edges);
     uint64_t m = 0;
-    if (!r.GetU64(&m)) return corrupt("edges section truncated");
-    g.Reserve(g.NumNodes(), m);
-    std::string label;
-    for (uint64_t i = 0; i < m; ++i) {
-      uint32_t src = 0, dst = 0;
-      if (!r.GetU32(&src) || !r.GetU32(&dst) || !r.GetStr(&label)) {
+    // An edge record takes at least 12 bytes.
+    if (!r.GetU64(&m) || m > r.remaining() / 12) {
+      return corrupt("edges section truncated");
+    }
+    std::vector<EdgeTriple> triples(m);
+    for (EdgeTriple& e : triples) {
+      if (!r.GetU32(&e.src) || !r.GetU32(&e.dst) || !r.GetStrView(&name)) {
         return corrupt("edges section truncated");
       }
-      if (src >= g.NumNodes() || dst >= g.NumNodes()) {
+      if (e.src >= g.NumNodes() || e.dst >= g.NumNodes()) {
         return corrupt("edge endpoint out of range");
       }
-      g.AddEdge(src, std::string_view(label), dst);
+      e.label = intern(name);
     }
     if (!r.Done()) return corrupt("edges section has trailing bytes");
+    g.AddEdges(triples);  // a repeated triple collapses to one edge
   }
   {
     binio::Reader r(attrs);
     uint64_t k = 0;
     if (!r.GetU64(&k)) return corrupt("attrs section truncated");
-    std::string attr;
     for (uint64_t i = 0; i < k; ++i) {
       uint32_t v = 0;
       Value value;
-      if (!r.GetU32(&v) || !r.GetStr(&attr) || !r.GetValue(&value)) {
+      if (!r.GetU32(&v) || !r.GetStrView(&name) || !r.GetValue(&value)) {
         return corrupt("attrs section truncated");
       }
       if (v >= g.NumNodes()) return corrupt("attr node out of range");
-      g.SetAttr(v, std::string_view(attr), std::move(value));
+      g.SetAttr(v, intern(name), std::move(value));
     }
     if (!r.Done()) return corrupt("attrs section has trailing bytes");
   }

@@ -80,8 +80,12 @@ struct Checkpoint {
 };
 
 /// Reads a checkpoint file, verifying magic, version and every section CRC.
-/// Corruption (wrong magic, truncation, checksum mismatch, dangling ids)
-/// fails with kDataLoss; a missing file is kUnavailable.
+/// Corruption (wrong magic, truncation, checksum mismatch, dangling ids,
+/// trailing or duplicate sections) fails with kDataLoss; a missing file is
+/// kUnavailable. The file is read with one fstat-sized read and each section
+/// is decoded in one pass: labels and attribute names are interned once per
+/// distinct string, and the edges go in through one Graph::AddEdges batch
+/// (a repeated edge record collapses to one edge).
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
 /// The checkpoint files under `dir`, sorted by epoch (ascending). Recovery

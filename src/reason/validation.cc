@@ -242,7 +242,9 @@ std::vector<NodeId> PinCandidates(const Pattern& q, VarId pin,
 // Full scan of every bucket of `plan`. Serial: one unpinned item per bucket.
 // Parallel: (bucket, chunk of candidates for the bucket's most selective
 // variable) items; pinning one variable partitions the bucket's match space
-// exactly, so any item partition is race-free and deterministic.
+// exactly, so any item partition is race-free and deterministic. A bucket
+// with no candidate to pin still gets one unpinned item, so it is scanned
+// (and profiled) at every thread count.
 template <typename GView>
 ValidationReport ScanPlan(const GView& g, const RulesetPlan& plan,
                           const ValidationOptions& options) {
@@ -264,6 +266,7 @@ ValidationReport ScanPlan(const GView& g, const RulesetPlan& plan,
     VarId pin_var = MostSelectiveVariable(q, g);
     candidates[b] = PinCandidates(q, pin_var, g);
     std::span<const NodeId> all = candidates[b];
+    if (all.empty()) items.push_back(WorkItem{b, 0, {}});
     size_t chunk = std::max<size_t>(1, all.size() / chunks_per_bucket);
     for (size_t begin = 0; begin < all.size(); begin += chunk) {
       items.push_back(WorkItem{

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +172,144 @@ TEST_F(CheckpointTest, UnknownSectionIdsAreSkipped) {
                              << loaded.status().ToString();
     EXPECT_TRUE(loaded.value().graph == g) << "id " << id;
   }
+}
+
+// A CRC-valid v1 checkpoint (epoch 9) around the given section payloads, so
+// a test can feed LoadCheckpoint records SaveCheckpoint never writes.
+std::string CheckpointBytes(const std::string& nodes, const std::string& edges,
+                            const std::string& attrs) {
+  std::string out = "GEDCKPT1";
+  binio::PutU32(&out, 1);  // version
+  binio::PutU64(&out, 9);  // epoch
+  binio::PutU32(&out, 3);  // section count
+  uint32_t id = 1;
+  for (const std::string* payload : {&nodes, &edges, &attrs}) {
+    binio::PutU32(&out, id++);
+    binio::PutU64(&out, payload->size());
+    binio::PutU32(&out, Crc32c(payload->data(), payload->size()));
+    out += *payload;
+  }
+  return out;
+}
+
+// Nodes section of `n` nodes labeled "n".
+std::string NodesPayload(uint64_t n) {
+  std::string nodes;
+  binio::PutU64(&nodes, n);
+  for (uint64_t v = 0; v < n; ++v) binio::PutStr(&nodes, "n");
+  return nodes;
+}
+
+// Edges section of the given (src, dst) records, all labeled "e".
+std::string EdgesPayload(const std::vector<std::pair<uint32_t, uint32_t>>& es) {
+  std::string edges;
+  binio::PutU64(&edges, es.size());
+  for (const auto& [src, dst] : es) {
+    binio::PutU32(&edges, src);
+    binio::PutU32(&edges, dst);
+    binio::PutStr(&edges, "e");
+  }
+  return edges;
+}
+
+std::string NoAttrsPayload() {
+  std::string attrs;
+  binio::PutU64(&attrs, 0);
+  return attrs;
+}
+
+TEST_F(CheckpointTest, RepeatedEdgeRecordLoadsOnce) {
+  const std::string path = dir_ + "/" + CheckpointFileName(9);
+  WriteAll(path, CheckpointBytes(NodesPayload(3),
+                                 EdgesPayload({{0, 1}, {1, 2}, {0, 1}}),
+                                 NoAttrsPayload()));
+  auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Graph& g = loaded.value().graph;
+  EXPECT_EQ(g.NumEdges(), 2u);
+  EXPECT_EQ(g.OutDegree(0), 1u);
+  EXPECT_EQ(g.InDegree(1), 1u);
+  Graph want;
+  for (int i = 0; i < 3; ++i) want.AddNode("n");
+  want.AddEdge(0, "e", 1);
+  want.AddEdge(1, "e", 2);
+  EXPECT_TRUE(g == want);
+}
+
+TEST_F(CheckpointTest, CrcValidButMalformedSectionsAreDataLoss) {
+  const std::string path = dir_ + "/" + CheckpointFileName(9);
+  std::string edges_with_trailer = EdgesPayload({{0, 1}});
+  edges_with_trailer.push_back('\0');
+  std::string nodes_with_trailer = NodesPayload(2);
+  nodes_with_trailer.push_back('x');
+  std::string attrs_with_trailer = NoAttrsPayload();
+  attrs_with_trailer.push_back('x');
+  std::string huge_node_count;
+  binio::PutU64(&huge_node_count, uint64_t{1} << 40);
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"dst out of range", CheckpointBytes(NodesPayload(2),
+                                           EdgesPayload({{0, 1}, {1, 2}}),
+                                           NoAttrsPayload())},
+      {"src out of range", CheckpointBytes(NodesPayload(2),
+                                           EdgesPayload({{5, 0}}),
+                                           NoAttrsPayload())},
+      {"edges trailing bytes",
+       CheckpointBytes(NodesPayload(2), edges_with_trailer, NoAttrsPayload())},
+      {"nodes trailing bytes",
+       CheckpointBytes(nodes_with_trailer, EdgesPayload({}), NoAttrsPayload())},
+      {"attrs trailing bytes",
+       CheckpointBytes(NodesPayload(2), EdgesPayload({}), attrs_with_trailer)},
+      {"node count past the payload",
+       CheckpointBytes(huge_node_count, EdgesPayload({}), NoAttrsPayload())},
+  };
+  for (const auto& c : cases) {
+    WriteAll(path, c.bytes);
+    auto loaded = LoadCheckpoint(path);
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.what;
+  }
+}
+
+// A checkpoint written by an earlier build (table CRC32C, adjacency plus
+// hash-set edge storage): the v1 bytes and their CRCs must neither change
+// on save nor stop loading.
+TEST_F(CheckpointTest, EarlierV1FileLoadsAndSavesByteIdentical) {
+  const std::string earlier(
+      "\x47\x45\x44\x43\x4b\x50\x54\x31\x01\x00\x00\x00\x09\x00\x00\x00"
+      "\x00\x00\x00\x00\x03\x00\x00\x00\x01\x00\x00\x00\x28\x00\x00\x00"
+      "\x00\x00\x00\x00\x57\x9d\x1c\x48\x02\x00\x00\x00\x00\x00\x00\x00"
+      "\x0d\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x70\x65\x72\x73\x6f"
+      "\x6e\x0b\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x63\x69\x74\x79"
+      "\x02\x00\x00\x00\x39\x00\x00\x00\x00\x00\x00\x00\xd4\x04\x80\x7c"
+      "\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "\x0f\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x6c\x69\x76\x65\x73"
+      "\x5f\x69\x6e\x01\x00\x00\x00\x00\x00\x00\x00\x0a\x00\x00\x00\x67"
+      "\x6f\x6c\x64\x65\x6e\x5f\x68\x61\x73\x03\x00\x00\x00\x3f\x00\x00"
+      "\x00\x00\x00\x00\x00\x74\x50\x57\x93\x02\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x0a\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f"
+      "\x61\x67\x65\x01\x2a\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "\x0b\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x6e\x61\x6d\x65\x03"
+      "\x04\x00\x00\x00\x4f\x73\x6c\x6f",
+      232);
+  Graph g;
+  NodeId a = g.AddNode("golden_person"), b = g.AddNode("golden_city");
+  g.AddEdge(a, "golden_lives_in", b);
+  g.AddEdge(b, "golden_has", a);
+  g.SetAttr(a, "golden_age", Value(int64_t{42}));
+  g.SetAttr(b, "golden_name", Value("Oslo"));
+
+  auto saved = SaveCheckpoint(g, 9, dir_);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(ReadAll(saved.value()), earlier);
+
+  WriteAll(saved.value(), earlier);
+  auto loaded = LoadCheckpoint(saved.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().epoch, 9u);
+  EXPECT_TRUE(loaded.value().graph == g);
 }
 
 TEST_F(CheckpointTest, MissingFileIsUnavailable) {

@@ -1,8 +1,13 @@
 // Unit tests for the common kernel: Status/Result, Value semantics,
-// interning and union-find.
+// interning, union-find and CRC32C.
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "common/union_find.h"
@@ -127,6 +132,50 @@ TEST(UnionFind, AddGrows) {
   uint32_t x = uf.Add();
   EXPECT_EQ(x, 1u);
   EXPECT_EQ(uf.num_classes(), 2u);
+}
+
+// RFC 3720 (iSCSI) appendix B.4 check values, plus the common "123456789"
+// check value of CRC-32C.
+TEST(Crc32c, MatchesRfc3720CheckValues) {
+  std::string zeros(32, '\0'), ones(32, '\xff'), up(32, 0), down(32, 0);
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  for (auto crc : {Crc32c, Crc32cPortable}) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(up.data(), up.size(), 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(down.data(), down.size(), 0), 0x113FDB5Cu);
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+    EXPECT_EQ(crc("", 0, 0), 0u);
+  }
+}
+
+// Crc32c (the SSE4.2 instruction where the CPU has it) ≡ the table
+// implementation at every length up to 1024 and every start alignment, and
+// both extend over concatenated buffers.
+TEST(Crc32c, DispatchedEqualsTableAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buf(1024 + 8);
+  uint32_t x = 0x12345678u;
+  for (unsigned char& c : buf) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32c(p, len), Crc32cPortable(p, len))
+          << "len " << len << " align " << align
+          << " hardware=" << Crc32cHardware();
+    }
+  }
+  const size_t split = 37;
+  EXPECT_EQ(Crc32c(buf.data() + split, 500, Crc32c(buf.data(), split)),
+            Crc32c(buf.data(), split + 500));
+  EXPECT_EQ(Crc32cPortable(buf.data() + split, 500,
+                           Crc32cPortable(buf.data(), split)),
+            Crc32c(buf.data(), split + 500));
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 // Unit tests for the property-graph substrate and its text format.
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
@@ -49,6 +53,121 @@ TEST(Graph, AdjacencyIsIndexed) {
   EXPECT_TRUE(g.HasEdge(a, Sym("e"), b));
   EXPECT_FALSE(g.HasEdge(b, Sym("e"), a));
   EXPECT_TRUE(g.HasEdge(b, kWildcard, a));  // wildcard = any label
+}
+
+// Dedup and HasEdge scan the shorter of out(src) and in(dst): a hub must be
+// found from either side.
+TEST(Graph, DuplicatesAreRejectedFromEitherSideOfAHub) {
+  Graph g;
+  NodeId src_hub = g.AddNode("n"), dst_hub = g.AddNode("n");
+  std::vector<NodeId> leaves;
+  for (int i = 0; i < 40; ++i) leaves.push_back(g.AddNode("n"));
+  for (NodeId leaf : leaves) {
+    ASSERT_TRUE(g.AddEdge(src_hub, "e", leaf));
+    ASSERT_TRUE(g.AddEdge(leaf, "e", dst_hub));
+  }
+  ASSERT_TRUE(g.AddEdge(src_hub, "e", dst_hub));
+  const size_t edges = g.NumEdges();
+  for (NodeId leaf : leaves) {
+    EXPECT_FALSE(g.AddEdge(src_hub, "e", leaf));  // in(leaf) is shorter
+    EXPECT_FALSE(g.AddEdge(leaf, "e", dst_hub));  // out(leaf) is shorter
+    EXPECT_TRUE(g.HasEdge(src_hub, Sym("e"), leaf));
+    EXPECT_TRUE(g.HasEdge(leaf, Sym("e"), dst_hub));
+    EXPECT_FALSE(g.HasEdge(leaf, Sym("e"), src_hub));
+  }
+  EXPECT_FALSE(g.AddEdge(src_hub, "e", dst_hub));  // hub to hub
+  EXPECT_EQ(g.NumEdges(), edges);
+  EXPECT_TRUE(g.AddEdge(src_hub, "f", leaves[7]));  // new label, new edge
+  EXPECT_EQ(g.NumEdges(), edges + 1);
+  EXPECT_EQ(g.OutDegree(src_hub), leaves.size() + 2);
+  EXPECT_EQ(g.InDegree(dst_hub), leaves.size() + 1);
+}
+
+TEST(Graph, SelfLoops) {
+  Graph g;
+  NodeId a = g.AddNode("n"), b = g.AddNode("n");
+  EXPECT_TRUE(g.AddEdge(a, "e", a));
+  EXPECT_FALSE(g.AddEdge(a, "e", a));
+  EXPECT_TRUE(g.AddEdge(a, "e", b));
+  EXPECT_EQ(g.NumEdges(), 2u);
+  EXPECT_EQ(g.OutDegree(a), 2u);
+  EXPECT_EQ(g.InDegree(a), 1u);
+  EXPECT_TRUE(g.HasEdge(a, Sym("e"), a));
+  EXPECT_TRUE(g.HasEdge(a, kWildcard, a));
+  EXPECT_FALSE(g.HasEdge(b, kWildcard, b));
+}
+
+TEST(Graph, WildcardHasEdgeMatchesAnyLabel) {
+  Graph g;
+  NodeId a = g.AddNode("n"), b = g.AddNode("n"), c = g.AddNode("n");
+  g.AddEdge(a, "e", b);
+  EXPECT_TRUE(g.HasEdge(a, kWildcard, b));
+  EXPECT_FALSE(g.HasEdge(b, kWildcard, a));  // direction matters
+  EXPECT_FALSE(g.HasEdge(a, kWildcard, c));
+  // A '_'-labeled edge (canonical graphs of patterns) is an edge of its
+  // own: AddEdge dedups it exactly, and a concrete label does not match it.
+  EXPECT_TRUE(g.AddEdge(a, kWildcard, b));
+  EXPECT_FALSE(g.AddEdge(a, kWildcard, b));
+  EXPECT_TRUE(g.AddEdge(a, kWildcard, c));
+  EXPECT_FALSE(g.HasEdge(a, Sym("e"), c));
+  EXPECT_TRUE(g.HasEdge(a, kWildcard, c));
+  EXPECT_EQ(g.NumEdges(), 3u);
+}
+
+TEST(Graph, AddEdgesSizesAdjacencyAndDedups) {
+  Graph g;
+  for (int i = 0; i < 4; ++i) g.AddNode("n");
+  g.AddEdge(0, "e", 1);
+  const Label e = Sym("e"), f = Sym("f");
+  std::vector<EdgeTriple> batch = {
+      {0, e, 1}, {0, e, 2}, {0, e, 2}, {2, f, 3}, {3, e, 0}, {0, f, 2}};
+  EXPECT_EQ(g.AddEdges(batch), 4u);  // {0,e,1} existed, {0,e,2} repeats
+  EXPECT_EQ(g.NumEdges(), 5u);
+  EXPECT_EQ(g.out(0), (std::vector<Edge>{{e, 1}, {e, 2}, {f, 2}}));
+  EXPECT_EQ(g.in(2), (std::vector<Edge>{{e, 0}, {f, 0}}));
+  EXPECT_TRUE(g.HasEdge(3, e, 0));
+  EXPECT_EQ(g.AddEdges({}), 0u);
+}
+
+TEST(Graph, EqualityIgnoresInsertionOrder) {
+  auto build = [](const std::vector<std::tuple<int, const char*, int>>& es) {
+    Graph g;
+    for (int i = 0; i < 4; ++i) g.AddNode("n");
+    for (const auto& [s, l, d] : es) g.AddEdge(s, l, d);
+    return g;
+  };
+  std::vector<std::tuple<int, const char*, int>> edges = {
+      {0, "e", 1}, {0, "f", 1}, {2, "e", 1}, {0, "e", 3}, {3, "e", 3}};
+  Graph forward = build(edges);
+  std::reverse(edges.begin(), edges.end());
+  Graph backward = build(edges);
+  ASSERT_NE(forward.out(0), backward.out(0));  // orders really differ
+  EXPECT_TRUE(forward == backward);
+  EXPECT_EQ(forward.ToString(), backward.ToString());
+  std::get<1>(edges[0]) = "f";  // (3, e, 3) becomes (3, f, 3)
+  Graph relabeled = build(edges);
+  EXPECT_FALSE(forward == relabeled);
+  EXPECT_FALSE(relabeled == forward);
+}
+
+TEST(Graph, ToStringSortsEdgesBySourceLabelTarget) {
+  const Label first = Sym("tostring_first"), second = Sym("tostring_second");
+  ASSERT_LT(first, second);  // edges sort by symbol id within a source
+  Graph g;
+  for (int i = 0; i < 3; ++i) g.AddNode("n");
+  g.SetAttr(1, "k", Value(2));
+  g.AddEdge(2, first, 0);
+  g.AddEdge(0, second, 1);
+  g.AddEdge(0, first, 2);
+  g.AddEdge(0, first, 1);
+  EXPECT_EQ(g.ToString(),
+            "node 0 n\n"
+            "node 1 n k=2\n"
+            "node 2 n\n"
+            "edge 0 tostring_first 1\n"
+            "edge 0 tostring_first 2\n"
+            "edge 0 tostring_second 1\n"
+            "edge 2 tostring_first 0\n");
 }
 
 TEST(Graph, LabelIndex) {

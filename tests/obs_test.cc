@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "ged/parser.h"
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
 #include "incr/delta.h"
@@ -233,6 +234,67 @@ TEST(Profiler, ReportTotalsMatchTheValidationReport) {
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   std::string table = profile.ToTable();
   EXPECT_NE(table.find(sigma[0].name()), std::string::npos);
+}
+
+// A bucket whose pin variable has no candidate node still gets scanned at
+// every thread count, so a parallel EXPLAIN lists the same buckets and rules
+// as a serial one.
+TEST(Profiler, ThreadCountDoesNotDropEmptyBuckets) {
+  Graph g;
+  for (int i = 0; i < 12; ++i) {
+    NodeId v = g.AddNode("zc_a");
+    g.SetAttr(v, "v", Value(int64_t{i % 3}));
+  }
+  for (NodeId v = 0; v < 12; ++v) g.AddEdge(v, "zc_e", (v + 1) % 12);
+  auto sigma = ParseGeds(R"(
+    ged present {
+      match (x:zc_a)-[zc_e]->(y:zc_a)
+      then  x.v = y.v
+    }
+    ged missing {
+      match (x:zc_missing)
+      then  x.v = 1
+    })");
+  ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
+
+  for (PlanMode plan : {PlanMode::kCompiled, PlanMode::kPerRule}) {
+    auto run = [&](unsigned threads, ValidationReport* report) {
+      ObsSession session;
+      ValidationOptions opts;
+      opts.policy.plan = plan;
+      opts.num_threads = threads;
+      opts.obs = session.Options();
+      *report = Validate(g, sigma.value(), opts);
+      return session.Profiler().Finish(0);
+    };
+    ValidationReport serial_report, parallel_report;
+    ProfileReport serial = run(1, &serial_report);
+    ProfileReport parallel = run(4, &parallel_report);
+    const bool compiled = plan == PlanMode::kCompiled;
+
+    ASSERT_EQ(serial.rules.size(), 2u) << "compiled=" << compiled;
+    ASSERT_EQ(parallel.rules.size(), serial.rules.size())
+        << "compiled=" << compiled;
+    for (size_t i = 0; i < serial.rules.size(); ++i) {
+      const ProfileReport::Rule& s = serial.rules[i];
+      const ProfileReport::Rule& p = parallel.rules[i];
+      EXPECT_EQ(p.ged_index, s.ged_index) << "compiled=" << compiled;
+      EXPECT_EQ(p.name, s.name) << "compiled=" << compiled;
+      EXPECT_EQ(parallel.buckets[p.bucket].id, serial.buckets[s.bucket].id)
+          << "compiled=" << compiled;
+      EXPECT_EQ(p.checked, s.checked) << "compiled=" << compiled;
+      EXPECT_EQ(p.violations, s.violations) << "compiled=" << compiled;
+    }
+    ASSERT_EQ(parallel.buckets.size(), serial.buckets.size())
+        << "compiled=" << compiled;
+    for (size_t b = 0; b < serial.buckets.size(); ++b) {
+      EXPECT_EQ(parallel.buckets[b].id, serial.buckets[b].id);
+      EXPECT_EQ(parallel.buckets[b].pattern, serial.buckets[b].pattern);
+    }
+    EXPECT_GT(serial.violations, 0u);
+    EXPECT_EQ(parallel.violations, serial.violations);
+    EXPECT_EQ(parallel_report.violations, serial_report.violations);
+  }
 }
 
 TEST(Profiler, CollectorResetClearsTheRun) {
